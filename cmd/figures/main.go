@@ -270,17 +270,13 @@ func saveWarmDir(c *experiments.WarmCache, dir string) error {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	w := snapshot.NewWriter()
 	for _, key := range keys {
-		data := entries[key]
-		w := snapshot.NewWriter()
+		w.Reset()
 		w.Section("key").String(key)
-		w.Section("data").U8s(data)
-		var buf bytes.Buffer
-		if err := w.Emit(&buf); err != nil {
-			return err
-		}
+		w.Section("data").U8s(entries[key])
 		name := fmt.Sprintf("%08x.warm", crc32.ChecksumIEEE([]byte(key)))
-		if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, name), w.Bytes(), 0o644); err != nil {
 			return err
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"os"
 	"strings"
 
+	"oltpsim/internal/atomicfile"
 	"oltpsim/internal/cli"
 	"oltpsim/internal/core"
 	"oltpsim/internal/experiments"
@@ -219,8 +220,10 @@ func checkpointIO(resumePath, checkpointPath string, every uint64) (experiments.
 	}
 	if checkpointPath != "" {
 		cr.Every = every
+		// Each checkpoint replaces the last atomically: a kill mid-write
+		// must not destroy the only good restart point.
 		cr.Write = func(data []byte) error {
-			return os.WriteFile(checkpointPath, data, 0o644)
+			return atomicfile.Write(checkpointPath, data)
 		}
 	}
 	return cr, nil

@@ -12,7 +12,7 @@ import (
 // restored — but the array length acts as a cross-check.
 func (c *Cache) SaveState(e *snapshot.Encoder) {
 	e.U64s(c.tags)
-	e.U8s(stateBytes(c.states))
+	snapshot.U8sOf(e, c.states)
 	e.U64s(c.stamps)
 	e.U64(c.clock)
 	e.U64(c.Accesses)
@@ -108,12 +108,4 @@ func (v *VictimBuffer) LoadState(d *snapshot.Decoder) error {
 	v.Hits = hits
 	v.Probes = probes
 	return nil
-}
-
-func stateBytes(states []State) []uint8 {
-	b := make([]uint8, len(states))
-	for i, s := range states {
-		b[i] = uint8(s)
-	}
-	return b
 }

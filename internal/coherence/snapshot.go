@@ -1,8 +1,9 @@
 package coherence
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"oltpsim/internal/snapshot"
 )
@@ -25,7 +26,7 @@ func (d *Directory) SaveState(e *snapshot.Encoder) {
 			pairs = append(pairs, pair{key: k, ent: t.entries[i]})
 		}
 	}
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].key < pairs[j].key })
+	slices.SortFunc(pairs, func(a, b pair) int { return cmp.Compare(a.key, b.key) })
 	e.Int(len(t.keys))
 	e.Int(len(pairs))
 	for _, p := range pairs {

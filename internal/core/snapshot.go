@@ -37,11 +37,23 @@ func (c Config) Fingerprint() string {
 	return fmt.Sprintf("%+v rac=%s lat=%s", flat, rac, lat)
 }
 
-// Save writes the complete machine state — caches, directory, CPU models,
-// contention layer, counters, and the workload — as one versioned snapshot.
-// A system with a miss classifier cannot be saved (the classifier's
-// unbounded line-history table is diagnostic, not architectural).
+// Save writes the complete machine state as one standalone snapshot
+// stream; SaveTo writes the same sections into a caller's writer.
 func (s *System) Save(out io.Writer) error {
+	w := snapshot.NewWriter()
+	if err := s.SaveTo(w); err != nil {
+		return err
+	}
+	return w.Emit(out)
+}
+
+// SaveTo writes the complete machine state — caches, directory, CPU
+// models, contention layer, counters, and the workload — as the sections
+// of w. A container that carries the machine nests it with Writer.Nest, so
+// the machine is encoded straight into the container's buffer. A system
+// with a miss classifier cannot be saved (the classifier's unbounded
+// line-history table is diagnostic, not architectural).
+func (s *System) SaveTo(w *snapshot.Writer) error {
 	if s.classifier != nil {
 		return fmt.Errorf("core: a system with Classify enabled cannot be snapshotted")
 	}
@@ -49,7 +61,6 @@ func (s *System) Save(out io.Writer) error {
 	if !ok {
 		return fmt.Errorf("core: workload %T does not support snapshots", s.w)
 	}
-	w := snapshot.NewWriter()
 	w.Section("config").String(s.cfg.Fingerprint())
 
 	e := w.Section("machine")
@@ -90,7 +101,7 @@ func (s *System) Save(out io.Writer) error {
 	}
 
 	ws.SaveState(w.Section("workload"))
-	return w.Emit(out)
+	return nil
 }
 
 // Load restores a snapshot into a system built from the identical

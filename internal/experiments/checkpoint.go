@@ -31,19 +31,24 @@ const (
 // measureBase is the committed-transaction count at the statistics reset
 // (meaningful only for CheckpointMeasuring).
 func SaveCheckpoint(out io.Writer, sys *core.System, phase uint8, measureBase uint64) error {
+	w := snapshot.NewWriter()
+	if err := saveCheckpoint(w, sys, phase, measureBase); err != nil {
+		return err
+	}
+	return w.Emit(out)
+}
+
+// saveCheckpoint writes the SaveCheckpoint container into w: the protocol
+// section, then the machine's stream nested in place as the system
+// section.
+func saveCheckpoint(w *snapshot.Writer, sys *core.System, phase uint8, measureBase uint64) error {
 	if !validPhase(phase) {
 		return fmt.Errorf("experiments: invalid checkpoint phase %d", phase)
 	}
-	var buf bytes.Buffer
-	if err := sys.Save(&buf); err != nil {
-		return err
-	}
-	w := snapshot.NewWriter()
 	e := w.Section("protocol")
 	e.U8(phase)
 	e.U64(measureBase)
-	w.Section("system").U8s(buf.Bytes())
-	return w.Emit(out)
+	return w.Nest("system", sys.SaveTo)
 }
 
 // LoadCheckpoint restores a checkpoint into a system built from the
@@ -151,15 +156,19 @@ func (o Options) RunCheckpointed(cfg core.Config, cr CheckpointRun) (stats.RunRe
 	}
 	canceled := func() bool { return cr.Canceled != nil && cr.Canceled() }
 	executed := func() uint64 { return sys.Steps() - steps0 }
+	// One writer serves every checkpoint of the run: its buffer grows on
+	// the first and is reused after, which Write's must-not-retain
+	// contract allows.
+	w := snapshot.NewWriter()
 	write := func(ph uint8, base uint64) error {
 		if cr.Write == nil {
 			return nil
 		}
-		var buf bytes.Buffer
-		if err := SaveCheckpoint(&buf, sys, ph, base); err != nil {
+		w.Reset()
+		if err := saveCheckpoint(w, sys, ph, base); err != nil {
 			return err
 		}
-		return cr.Write(buf.Bytes())
+		return cr.Write(w.Bytes())
 	}
 
 	// Warmup, chunked by the checkpoint quantum. The mid-warmup checkpoints

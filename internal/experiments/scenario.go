@@ -93,21 +93,16 @@ type scenarioCkptState struct {
 	prev        stats.RunResult
 }
 
-// saveScenarioCheckpoint writes the scenario checkpoint container: the
-// generic protocol section, a scenario section (schedule fingerprint,
+// saveScenarioCheckpoint writes the scenario checkpoint container into w:
+// the generic protocol section, a scenario section (schedule fingerprint,
 // completed phase segments, previous cumulative collection), and the
 // machine state. Completed segments ride in the container because the
 // machine's counters are cumulative — a resume could not re-derive earlier
 // phase differences from state alone.
-func saveScenarioCheckpoint(out io.Writer, sys *core.System, st *scenarioCkptState, fingerprint string) error {
+func saveScenarioCheckpoint(w *snapshot.Writer, sys *core.System, st *scenarioCkptState, fingerprint string) error {
 	if !validPhase(st.phase) {
 		return fmt.Errorf("experiments: invalid checkpoint phase %d", st.phase)
 	}
-	var buf bytes.Buffer
-	if err := sys.Save(&buf); err != nil {
-		return err
-	}
-	w := snapshot.NewWriter()
 	e := w.Section("protocol")
 	e.U8(st.phase)
 	e.U64(st.measureBase)
@@ -119,8 +114,7 @@ func saveScenarioCheckpoint(out io.Writer, sys *core.System, st *scenarioCkptSta
 		st.done[i].Result.SaveState(e)
 	}
 	st.prev.SaveState(e)
-	w.Section("system").U8s(buf.Bytes())
-	return w.Emit(out)
+	return w.Nest("system", sys.SaveTo)
 }
 
 // loadScenarioCheckpoint restores a scenario checkpoint into sys. The
@@ -219,15 +213,17 @@ func (o Options) RunScenarioCheckpointed(cfg core.Config, cr CheckpointRun) (Sce
 	}
 	canceled := func() bool { return cr.Canceled != nil && cr.Canceled() }
 	executed := func() uint64 { return sys.Steps() - steps0 }
+	// One writer, reused across the run's checkpoints (see RunCheckpointed).
+	w := snapshot.NewWriter()
 	write := func() error {
 		if cr.Write == nil {
 			return nil
 		}
-		var buf bytes.Buffer
-		if err := saveScenarioCheckpoint(&buf, sys, &st, sched.Fingerprint()); err != nil {
+		w.Reset()
+		if err := saveScenarioCheckpoint(w, sys, &st, sched.Fingerprint()); err != nil {
 			return err
 		}
-		return cr.Write(buf.Bytes())
+		return cr.Write(w.Bytes())
 	}
 
 	if st.phase == CheckpointWarming {

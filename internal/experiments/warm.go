@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"oltpsim/internal/core"
+	"oltpsim/internal/snapshot"
 	"oltpsim/internal/stats"
 )
 
@@ -99,11 +100,11 @@ func (o Options) runWarm(cfg core.Config, sys *core.System) stats.RunResult {
 	snap, ok := o.WarmSnapshot.fetch(o.warmKey(cfg), func() ([]byte, bool) {
 		sys.RunUntil(o.WarmupTxns)
 		warmedHere = true
-		var buf bytes.Buffer
-		if err := sys.Save(&buf); err != nil {
+		w := snapshot.NewWriter()
+		if err := sys.SaveTo(w); err != nil {
 			return nil, false
 		}
-		return buf.Bytes(), true
+		return w.Bytes(), true
 	})
 	if !warmedHere {
 		if !ok {

@@ -16,7 +16,10 @@
 //
 // The package is a leaf: stateful packages (cache, coherence, kernel, ...)
 // implement their own save/load methods in terms of Encoder/Decoder, and
-// core.System.Save/Load orchestrates the named sections.
+// core.System.SaveTo/Load orchestrates the named sections. A container that
+// carries a machine (a checkpoint) nests the machine's whole stream in one
+// of its sections with Writer.Nest, written in place into the container's
+// buffer.
 package snapshot
 
 import (
@@ -37,51 +40,107 @@ const Version uint32 = 1
 // maxSectionName bounds section names; anything longer is corruption.
 const maxSectionName = 255
 
-// Writer accumulates named sections and emits the framed, checksummed
-// stream. Sections are written in the order they are opened, which makes the
-// byte stream a deterministic function of the save calls.
+// Writer frames named sections into one growing buffer, in place: opening
+// a section writes its header with a placeholder length word, and the next
+// section (or the end of the stream) back-patches it, so no payload is
+// copied after it is encoded. Sections are written in the order they are
+// opened, which makes the byte stream a deterministic function of the save
+// calls.
 type Writer struct {
-	names    []string
-	payloads [][]byte
-	cur      *Encoder
+	e      *Encoder // the buffer; a nested writer shares its parent's
+	start  int      // offset of this stream's magic in the buffer
+	open   int      // offset of the open section's length word, or -1
+	sealed bool     // the CRC is written and the stream is closed
+	inner  *Writer  // Nest's writer, kept for the next Nest
 }
 
 // NewWriter returns an empty snapshot writer.
-func NewWriter() *Writer { return &Writer{} }
+func NewWriter() *Writer {
+	w := &Writer{e: &Encoder{}}
+	w.begin(0)
+	return w
+}
+
+// begin writes a stream header at start, the current end of the buffer.
+func (w *Writer) begin(start int) {
+	w.start, w.open, w.sealed = start, -1, false
+	copy(w.e.grow(len(Magic)), Magic)
+	w.e.U32(Version)
+}
+
+// Reset empties the writer for the next stream and keeps its buffer, so a
+// caller that writes a snapshot per checkpoint grows the buffer once. Every
+// slice Bytes returned before is overwritten. Reset is for top-level
+// writers only: a nested writer's bytes belong to its parent.
+func (w *Writer) Reset() {
+	w.e.buf = w.e.buf[:0]
+	w.begin(0)
+}
 
 // Section opens a new named section and returns the encoder for its
-// payload. The previous section (if any) is sealed.
+// payload. The previous section (if any) is sealed, and with it every
+// encoder handed out before: all sections share one buffer.
 func (w *Writer) Section(name string) *Encoder {
 	if len(name) == 0 || len(name) > maxSectionName {
 		panic(fmt.Sprintf("snapshot: section name %q out of range", name))
 	}
+	if w.sealed {
+		panic(fmt.Sprintf("snapshot: section %q opened after the stream was sealed", name))
+	}
 	w.seal()
-	w.names = append(w.names, name)
-	w.cur = &Encoder{}
-	return w.cur
+	e := w.e
+	binary.LittleEndian.PutUint16(e.grow(2), uint16(len(name)))
+	copy(e.grow(len(name)), name)
+	w.open = len(e.buf)
+	e.U64(0) // payload length, back-patched by seal
+	return e
 }
 
+// seal back-patches the open section's payload length.
 func (w *Writer) seal() {
-	if w.cur != nil {
-		w.payloads = append(w.payloads, w.cur.buf)
-		w.cur = nil
+	if w.open >= 0 {
+		binary.LittleEndian.PutUint64(w.e.buf[w.open:], uint64(len(w.e.buf)-w.open-8))
+		w.open = -1
 	}
 }
 
-// Emit seals the last section and writes the complete stream.
-func (w *Writer) Emit(out io.Writer) error {
-	w.seal()
-	var buf []byte
-	buf = append(buf, Magic...)
-	buf = binary.LittleEndian.AppendUint32(buf, Version)
-	for i, name := range w.names {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(name)))
-		buf = append(buf, name...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(len(w.payloads[i])))
-		buf = append(buf, w.payloads[i]...)
+// Nest writes a complete snapshot stream as the payload of section name,
+// in place: fill writes the inner stream's sections through a writer that
+// shares this one's buffer, and the inner stream carries its own header and
+// its own CRC over its own bytes. The payload is byte-for-byte what
+// Section(name).U8s(inner) writes for the same inner stream, so a reader
+// recovers it with Decoder.U8s.
+func (w *Writer) Nest(name string, fill func(*Writer) error) error {
+	e := w.Section(name)
+	at := len(e.buf)
+	e.U64(0) // the U8s length prefix, back-patched below
+	if w.inner == nil {
+		w.inner = &Writer{e: e}
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	_, err := out.Write(buf)
+	w.inner.begin(len(e.buf))
+	if err := fill(w.inner); err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint64(e.buf[at:], uint64(len(w.inner.Bytes())))
+	return nil
+}
+
+// Bytes seals the stream (the last section's length and the trailing CRC)
+// and returns it. The slice aliases the writer's buffer: it is valid until
+// the next Reset, and callers that keep it past that must copy it. No
+// section may be opened after Bytes.
+func (w *Writer) Bytes() []byte {
+	if !w.sealed {
+		w.seal()
+		w.e.U32(crc32.ChecksumIEEE(w.e.buf[w.start:]))
+		w.sealed = true
+	}
+	return w.e.buf[w.start:]
+}
+
+// Emit seals the stream and writes it to out.
+func (w *Writer) Emit(out io.Writer) error {
+	_, err := out.Write(w.Bytes())
 	return err
 }
 
@@ -187,14 +246,28 @@ type Encoder struct {
 	buf []byte
 }
 
+// grow extends the buffer by n bytes and returns them for the caller to
+// fill. Capacity at least doubles on every reallocation, so a snapshot
+// written into a fresh buffer copies each byte about once more in total.
+func (e *Encoder) grow(n int) []byte {
+	l := len(e.buf)
+	if cap(e.buf)-l < n {
+		nb := make([]byte, l, max(2*cap(e.buf), l+n, 4096))
+		copy(nb, e.buf)
+		e.buf = nb
+	}
+	e.buf = e.buf[:l+n]
+	return e.buf[l:]
+}
+
 // U64 appends v.
-func (e *Encoder) U64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *Encoder) U64(v uint64) { binary.LittleEndian.PutUint64(e.grow(8), v) }
 
 // U32 appends v.
-func (e *Encoder) U32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *Encoder) U32(v uint32) { binary.LittleEndian.PutUint32(e.grow(4), v) }
 
 // U8 appends v.
-func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
+func (e *Encoder) U8(v uint8) { e.grow(1)[0] = v }
 
 // I64 appends v as its two's-complement bits.
 func (e *Encoder) I64(v int64) { e.U64(uint64(v)) }
@@ -218,37 +291,54 @@ func (e *Encoder) F64(v float64) { e.U64(math.Float64bits(v)) }
 // U64s appends a length-prefixed slice.
 func (e *Encoder) U64s(vs []uint64) {
 	e.Int(len(vs))
-	for _, v := range vs {
-		e.U64(v)
+	b := e.grow(8 * len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[8*i:], v)
 	}
 }
 
 // U8s appends a length-prefixed byte slice.
 func (e *Encoder) U8s(vs []uint8) {
 	e.Int(len(vs))
-	e.buf = append(e.buf, vs...)
+	copy(e.grow(len(vs)), vs)
 }
 
 // I64s appends a length-prefixed slice of signed integers.
-func (e *Encoder) I64s(vs []int64) {
-	e.Int(len(vs))
-	for _, v := range vs {
-		e.I64(v)
-	}
-}
+func (e *Encoder) I64s(vs []int64) { I64sOf(e, vs) }
 
 // F64s appends a length-prefixed slice of floats.
 func (e *Encoder) F64s(vs []float64) {
 	e.Int(len(vs))
-	for _, v := range vs {
-		e.F64(v)
+	b := e.grow(8 * len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
 	}
 }
 
 // String appends a length-prefixed UTF-8 string.
 func (e *Encoder) String(s string) {
 	e.Int(len(s))
-	e.buf = append(e.buf, s...)
+	copy(e.grow(len(s)), s)
+}
+
+// I64sOf appends a length-prefixed slice of integers of any width, each
+// widened to 64 bits: the I64s encoding, read back with Decoder.I64s.
+func I64sOf[T ~int | ~int8 | ~int16 | ~int32 | ~int64](e *Encoder, vs []T) {
+	e.Int(len(vs))
+	b := e.grow(8 * len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(int64(v)))
+	}
+}
+
+// U8sOf appends a length-prefixed slice of byte-sized values: the U8s
+// encoding, read back with Decoder.U8s.
+func U8sOf[T ~uint8](e *Encoder, vs []T) {
+	e.Int(len(vs))
+	b := e.grow(len(vs))
+	for i, v := range vs {
+		b[i] = uint8(v)
+	}
 }
 
 // Decoder reads the primitives back with strict bounds checking. Errors are

@@ -140,11 +140,7 @@ func (f *CodeFn) LoadState(d *snapshot.Decoder) error {
 func (s *Session) SaveState(e *snapshot.Encoder) {
 	e.Int(s.undoBlockIdx)
 	e.Int(s.undoOff)
-	pinned := make([]int64, len(s.pinned))
-	for i, f := range s.pinned {
-		pinned[i] = int64(f)
-	}
-	e.I64s(pinned)
+	snapshot.I64sOf(e, s.pinned)
 	e.U64(s.lastLSN)
 	e.I64(int64(s.scanBlock))
 }
@@ -187,9 +183,9 @@ func (p *BufferPool) SaveState(e *snapshot.Encoder) {
 		e.Bool(fr.inDirty)
 		e.U64(fr.lastUse)
 	}
-	e.I64s(int32s(p.free))
+	snapshot.I64sOf(e, p.free)
 	e.U64(p.clock)
-	e.I64s(int32s(p.dirtyQueue))
+	snapshot.I64sOf(e, p.dirtyQueue)
 	e.U64(p.Stats.Gets)
 	e.U64(p.Stats.Misses)
 	e.U64(p.Stats.Evictions)
@@ -299,12 +295,4 @@ func (l *RedoLog) LoadState(d *snapshot.Decoder) error {
 	l.flushedLSN = flushed
 	l.Stats = stats
 	return nil
-}
-
-func int32s(vs []int32) []int64 {
-	out := make([]int64, len(vs))
-	for i, v := range vs {
-		out[i] = int64(v)
-	}
-	return out
 }
