@@ -16,7 +16,7 @@
 //
 // Usage:
 //
-//	go run ./cmd/benchdiff -write            # record baseline BENCH_pr9.json
+//	go run ./cmd/benchdiff -write            # record baseline BENCH_baseline.json
 //	go run ./cmd/benchdiff -check            # fail on time or alloc regression
 //	go run ./cmd/benchdiff -check -allocs-only
 //	go run ./cmd/benchdiff -check -threshold 25
@@ -75,7 +75,7 @@ func main() {
 	var (
 		write      = flag.Bool("write", false, "record the baseline instead of checking against it")
 		check      = flag.Bool("check", false, "compare against the committed baseline")
-		baseline   = flag.String("baseline", "BENCH_pr9.json", "baseline file path")
+		baseline   = flag.String("baseline", "BENCH_baseline.json", "baseline file path")
 		count      = flag.Int("count", 3, "repetitions; the minimum per benchmark is used")
 		short      = flag.Bool("short", true, "run benchmarks in -short mode")
 		threshold  = flag.Float64("threshold", 10, "allowed ns/op regression in percent")

@@ -53,12 +53,13 @@ func (w *strideWorkload) RefSource() *kernel.Scheduler { return w.sched }
 func (w *strideWorkload) HomeOf(line uint64) int       { return int(line) % w.chips }
 func (w *strideWorkload) Committed() uint64            { return 0 }
 
-// TestFastForwardZeroHitStreamTakesSlowPath is the metamorphic degenerate
-// case of hit-run fast-forwarding: on a stream with zero guaranteed L1 hits
-// the bulk path must never retire a reference (every lookahead finds its
-// terminator immediately), and the machine must still end in exactly the
-// state the per-reference path produces.
-func TestFastForwardZeroHitStreamTakesSlowPath(t *testing.T) {
+// TestFastForwardZeroHitStreamBatchesNothing is the metamorphic degenerate
+// case of the run loop: on a stream with zero guaranteed L1 hits every
+// reference is a miss, which the run loop finishes inline without ending
+// the run, but its hit batch never retires a reference — FastForwarded stays
+// 0 — and the machine must still end in exactly the state the per-reference
+// path produces.
+func TestFastForwardZeroHitStreamBatchesNothing(t *testing.T) {
 	run := func(noFF bool) *System {
 		cfg := BaseConfig(2, 1*MB, 4)
 		sys := MustNewSystem(cfg, newStrideWorkload(2, 2))

@@ -28,7 +28,7 @@ import (
 //  2. Barrier, then phase B (parallel over chip shards): with the horizon H
 //     = min over live cores of the stop time, every reference served
 //     strictly before H lies inside some core's validated prefix, so each
-//     shard replays its cores' references through serveHitRun — the same
+//     shard replays its cores' references through serveRun — the same
 //     bulk path the serial engine's fast-forward uses, with the strict
 //     horizon bound (limID < 0) in place of the root tie-break. Guard
 //     panics enforce that nothing leaves the validated prefix. Per-shard
@@ -143,10 +143,11 @@ func (s *System) runUntilSharded(target uint64) {
 				if s.committedCount() >= target {
 					return
 				}
-				if !s.Step() {
+				n, ok := s.guardedStep()
+				if !ok {
 					return
 				}
-				guard++
+				guard += n
 			}
 		}
 		if s.committedCount() >= target {
@@ -214,7 +215,7 @@ func (e *epochEngine) phaseA() {
 
 // phaseB replays every validated reference below the horizon, one pool slot
 // per contiguous shard of chips, and merges the per-slot step counts. The
-// replay runs through serveHitRun, so phase B retires whole runs per
+// replay runs through serveRun, so phase B retires whole runs per
 // scheduler lookahead exactly like the serial fast-forward; its counts land
 // in the fast-forward diagnostic too, since these references were bulk-
 // retired the same way.
@@ -243,7 +244,7 @@ func (e *epochEngine) phaseB(horizon uint64) uint64 {
 // serveValidated serves one core's references while its clock stays below
 // the horizon, whole hit-runs at a time. Phase A guarantees every reference
 // below the horizon is a zero-latency L1 hit whose serve leaves all
-// cross-chip state untouched; serveHitRun's sharded mode panics on any
+// cross-chip state untouched; serveRun's sharded mode panics on any
 // non-hit inside the bound, and the progress panic here covers the remaining
 // way the reasoning could fail (a scheduler event — drain, refill, dispatch,
 // preemption — surfacing before the horizon), turning either violation into
@@ -253,7 +254,7 @@ func (s *System) serveValidated(co *coreCtx, horizon uint64) uint64 {
 	m := co.inorder
 	var n uint64
 	for s.clocks[idx] < horizon {
-		k := s.serveHitRun(co, horizon, -1, false)
+		k := s.serveRun(co, horizon, -1, false)
 		if k == 0 {
 			panic("core: sharded step left the validated prefix (scheduler event)")
 		}

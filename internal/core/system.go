@@ -142,14 +142,14 @@ type System struct {
 	//oltpvet:derived scratch for the sharded engine, rebuilt lazily by SetStepWorkers
 	eng *epochEngine
 
-	// noFF disables hit-run fast-forwarding (fastforward.go). The zero value
-	// keeps the fast path on; SetFastForward exists so tests can pin the
-	// fast/slow equivalence and benchmarks can measure the per-ref path.
+	// noFF disables the run loop (fastforward.go). The zero value keeps it
+	// on; SetFastForward exists so tests can pin the run-loop/per-reference
+	// equivalence and benchmarks can measure the per-ref path.
 	//oltpvet:derived execution policy, not machine state: SetFastForward reconfigures it after load
 	noFF bool
-	// ffSteps counts references retired through the bulk guaranteed-hit path
-	// (serial fast-forward runs and sharded phase-B replays). Diagnostic
-	// only: it feeds no RunResult and does not ride in snapshots.
+	// ffSteps counts references retired as batched in-order L1 hits (serial
+	// run loop and sharded phase-B replays). Diagnostic only: it feeds no
+	// RunResult and does not ride in snapshots.
 	//oltpvet:derived diagnostic counter, not part of any result or snapshot
 	ffSteps uint64
 
@@ -363,15 +363,16 @@ func (s *System) Committed() uint64 { return s.w.Committed() }
 // continues the count of the run that wrote it.
 func (s *System) Steps() uint64 { return s.steps }
 
-// SetFastForward enables or disables hit-run fast-forwarding (on by
-// default). The fast path retires runs of guaranteed L1 hits in bulk with
+// SetFastForward enables or disables the run loop (on by default), which
+// serves the earliest core for as long as it stays earliest, with
 // byte-identical results to per-reference stepping — the switch exists so
 // tests can pin that equivalence and benchmarks can measure the slow path.
 func (s *System) SetFastForward(on bool) { s.noFF = !on }
 
-// FastForwarded returns how many references have been retired through the
-// bulk guaranteed-hit path (serial runs plus sharded phase-B replays). It is
-// a diagnostic for tests and profiling, not a statistic: the count feeds no
+// FastForwarded returns how many references have been retired as batched
+// in-order L1 hits (serial runs plus sharded phase-B replays); misses and
+// out-of-order references served by the run loop are not counted. It is a
+// diagnostic for tests and profiling, not a statistic: the count feeds no
 // RunResult and resets with neither ResetStats nor snapshots.
 func (s *System) FastForwarded() uint64 { return s.ffSteps }
 
@@ -387,12 +388,11 @@ func (s *System) Step() bool {
 	}
 	idx := int(s.heap[0])
 	co := s.allCores[idx]
-	// Hit-run fast-forward: when the root core's next references are
-	// guaranteed L1 hits it retires the whole run in one bulk dispatch
-	// (fastforward.go). Falls through to per-reference stepping for
-	// scheduler events, out-of-order cores, and workloads without a kernel
-	// scheduler.
-	if !s.noFF && co.inorder != nil && s.sched != nil {
+	// Run loop: the root core serves its pending references for as long as
+	// it stays the earliest event (fastforward.go). Falls through to
+	// per-reference stepping for scheduler events and for workloads without
+	// a kernel scheduler.
+	if !s.noFF && s.sched != nil {
 		if s.fastForward(idx, co) > 0 {
 			return true
 		}
@@ -435,14 +435,15 @@ func (s *System) Step() bool {
 	return true
 }
 
-// refBudgetPerTxn is the deadlock-guard allowance: how many steps each core
-// may take per outstanding committed transaction before RunUntil declares
-// the scheduler stuck. Measured OLTP shapes spend on the order of 10⁴
-// references per transaction per busy core (plus idleRecheck-paced naps on
-// waiting cores), so a two-million-step allowance is two orders of
-// magnitude of headroom — far beyond any latency or contention sweep, yet
-// tight enough that a genuinely wedged scheduler dies in milliseconds of
-// wall time instead of minutes.
+// refBudgetPerTxn is the deadlock-guard allowance: how many references each
+// core may retire per outstanding committed transaction before RunUntil
+// declares the scheduler stuck (a step that retires no reference — an idle
+// nap, a core finishing — counts as one). Measured OLTP shapes spend on the
+// order of 10⁴ references per transaction per busy core (plus
+// idleRecheck-paced naps on waiting cores), so a two-million-reference
+// allowance is two orders of magnitude of headroom — far beyond any latency
+// or contention sweep, yet tight enough that a genuinely wedged scheduler
+// dies in milliseconds of wall time instead of minutes.
 const refBudgetPerTxn = 2_000_000
 
 // stepBound derives RunUntil's deadlock bound from the work remaining:
@@ -484,19 +485,36 @@ func (s *System) RunUntil(target uint64) {
 		} else if s.w.Committed() >= target {
 			return
 		}
-		if !s.Step() {
+		n, ok := s.guardedStep()
+		if !ok {
 			return
 		}
-		guard++
+		guard += n
 		if guard > bound {
 			s.deadlockPanic(guard, target)
 		}
 	}
 }
 
-// deadlockPanic reports a run that exceeded its derived step budget.
+// guardedStep performs one Step and returns what it costs the deadlock
+// guard: the references it retired, or 1 for a step that retired none (an
+// idle nap, a core finishing). Counting references rather than Step calls
+// keeps the budget's unit fixed no matter how many references one Step
+// serves. ok is false once every CPU is done.
+func (s *System) guardedStep() (n uint64, ok bool) {
+	before := s.steps
+	if !s.Step() {
+		return 0, false
+	}
+	if n = s.steps - before; n == 0 {
+		n = 1
+	}
+	return n, true
+}
+
+// deadlockPanic reports a run that exceeded its derived reference budget.
 func (s *System) deadlockPanic(guard, target uint64) {
-	msg := fmt.Sprintf("core: %d steps without reaching %d committed transactions; scheduler deadlock?", guard, target)
+	msg := fmt.Sprintf("core: %d references without reaching %d committed transactions; scheduler deadlock?", guard, target)
 	if s.sched != nil {
 		msg += "\n" + s.sched.DumpState()
 	}
@@ -623,8 +641,8 @@ func (s *System) access(n *node, co *coreCtx, r memref.Ref) (uint32, cpu.StallCa
 // permission path, victim buffer, RAC, and directory transaction. The caller
 // has already performed the L1 lookup (whose result beyond hit/miss the
 // lower levels never need) and counted the reference in the node's kind
-// counters. Split out of access so the fast-forward path (fastforward.go)
-// can finish a run-ending reference without repeating the L1 lookup.
+// counters. Split out of access so the run loop (fastforward.go) can finish
+// a miss inline without repeating the L1 lookup.
 func (s *System) accessBeyondL1(n *node, co *coreCtx, l1 *cache.Cache, line uint64, ifetch, write bool) (uint32, cpu.StallCat) {
 	// L2 (shared by the chip's cores).
 	st2 := n.l2.Access(line)
@@ -711,7 +729,7 @@ func (s *System) accessBeyondL1(n *node, co *coreCtx, l1 *cache.Cache, line uint
 			} else {
 				n.racHitD++
 			}
-			return s.contended(s.lat.RACHit, n.id, n.id, line), cpu.CatLocal
+			return s.contended(s.lat.RACHit, co, n.id, line), cpu.CatLocal
 		}
 	}
 
@@ -728,7 +746,7 @@ func (s *System) accessBeyondL1(n *node, co *coreCtx, l1 *cache.Cache, line uint
 	s.insertL2(n, line, res.Grant)
 	s.fillL1(n, l1, line, l1FillState(res.Grant, ifetch))
 	n.miss.Count(ifetch, res.Cat)
-	return s.contended(s.latFor(res.Cat), n.id, s.dir.Home(line), line), s.stallFor(res.Cat)
+	return s.contended(s.latFor(res.Cat), co, s.dir.Home(line), line), s.stallFor(res.Cat)
 }
 
 // siblingShare demotes other cores' exclusive L1 copies of line when a core
@@ -773,14 +791,18 @@ func (s *System) siblingInvalidate(n *node, co *coreCtx, line uint64) {
 	}
 }
 
-// contended adds queuing delay from the contention layer, when enabled.
-func (s *System) contended(base uint32, requester, home int, line uint64) uint32 {
+// contended adds queuing delay from the contention layer, when enabled. The
+// request is issued at the clock of core co, the one that missed: on a CMP
+// chip the sibling cores' clocks differ from it.
+func (s *System) contended(base uint32, co *coreCtx, home int, line uint64) uint32 {
 	if s.mcs == nil {
 		return base
 	}
 	// Read the model, not the clock mirror: the mirror holds the done
-	// sentinel once a core's workload is exhausted.
-	at := s.nodes[requester].cores[0].model.Now()
+	// sentinel once a core's workload is exhausted, and the run loop has
+	// flushed its batched accounting into the model before any miss.
+	requester := co.chip.id
+	at := co.model.Now()
 	extra := s.mcs[home].Access(line, at)
 	if s.net != nil && requester != home {
 		_, q := s.net.Send(requester, home, at)
