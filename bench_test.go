@@ -23,15 +23,16 @@ import (
 // benchOptions returns the measurement protocol for the figure benchmarks.
 // Full paper fidelity (40-branch database, 2000 measured transactions) runs
 // in a couple of seconds per configuration; `go test -short -bench=.`
-// switches to the scaled-down database.
+// switches to the scaled-down database. The result cache is off: every
+// iteration repeats the previous one's points and must simulate them.
 func benchOptions(b *testing.B) experiments.Options {
-	if testing.Short() {
-		o := experiments.QuickOptions()
-		o.WarmupTxns, o.MeasureTxns = 300, 600
-		return o
-	}
 	o := experiments.DefaultOptions()
 	o.WarmupTxns = 3000
+	if testing.Short() {
+		o = experiments.QuickOptions()
+		o.WarmupTxns, o.MeasureTxns = 300, 600
+	}
+	o.Results = nil
 	return o
 }
 
@@ -179,7 +180,8 @@ func BenchmarkRunnerParallel(b *testing.B) { benchRunnerWorkers(b, 0) }
 // has a fixed cost (encoding the tag arrays and database tables), so reuse
 // pays off when the shared warmup dwarfs it — the sensitivity-sweep regime
 // the feature is built for. The sweep visits one machine shape under six
-// names; serial workers keep the cold/warm comparison a pure warmup story.
+// names; serial workers keep the cold/warm comparison a pure warmup story,
+// and benchOptions' cache-free protocol keeps all six names simulating.
 func benchWarmOptions(b *testing.B) (experiments.Options, []Config) {
 	o := benchOptions(b)
 	o.Workers = 1
@@ -523,6 +525,7 @@ func benchStepWorkers(b *testing.B, workers int) {
 	o := experiments.QuickOptions()
 	o.WarmupTxns, o.MeasureTxns = 200, 400
 	o.StepWorkers = workers
+	o.Results = nil
 	cfg := FullIntegrationConfig(64, 2*MB, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -12,7 +12,9 @@
 // (experiments.Options.Workers); -parallel/-j additionally runs the figure
 // runners themselves concurrently, buffering each figure's rendered report
 // so interleaved goroutines never corrupt the output. Results are
-// bit-identical to a serial run and print in the paper's order.
+// bit-identical to a serial run and print in the paper's order. A bar that
+// recurs across figures (the Base bar heads every one) is simulated once
+// per process and answered from experiments.Options.Results after that.
 package main
 
 import (
@@ -45,9 +47,8 @@ func main() {
 		parallel  = flag.Bool("parallel", false, "run figures concurrently (GOMAXPROCS workers)")
 		jobs      = flag.Int("j", 0, "concurrent figure runners (implies -parallel; 0 = GOMAXPROCS)")
 		stepJobs  = flag.Int("step-j", 0, "epoch-sharded stepping workers inside each simulation (0 or 1 = serial; results stay bit-identical)")
-		warm      = flag.Bool("warm", false, "share end-of-warmup machine state between identical sweep points (results stay bit-identical)")
-		ckptDir   = flag.String("checkpoint", "", "write shared warm-state snapshots to this directory (implies -warm)")
-		resumeDir = flag.String("resume", "", "preload warm-state snapshots from a -checkpoint directory (implies -warm)")
+		ckptDir   = flag.String("checkpoint", "", "write each distinct machine's end-of-warmup snapshot to this directory (results stay bit-identical)")
+		resumeDir = flag.String("resume", "", "restore end-of-warmup snapshots from a -checkpoint directory instead of re-running those warmups")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a pprof heap profile to this file at exit")
 		scenFile  = flag.String("scenario", "", "render the timeline figure family for this scenario profile (integration ladder vs. phase) instead of the paper figures")
@@ -121,7 +122,7 @@ func main() {
 		return
 	}
 
-	if *warm || *ckptDir != "" || *resumeDir != "" {
+	if *ckptDir != "" || *resumeDir != "" {
 		opt.WarmSnapshot = experiments.NewWarmCache()
 	}
 	if *resumeDir != "" {

@@ -77,6 +77,13 @@ type Options struct {
 	// locked), so sharing it across RunMany workers never changes output.
 	// Nil is valid and means compute per harness.
 	Zeta *sim.ZetaCache
+	// Results shares finished steady runs across a sweep: a configuration
+	// whose machine shape and protocol match an earlier request (the
+	// paper's Base bar heads every figure) gets a copy of that result,
+	// renamed, instead of a second simulation. Scenario runs bypass it. Nil
+	// simulates every run; tests that compare two runs of one point set it
+	// to nil so both sides execute.
+	Results *ResultCache
 }
 
 // DefaultOptions is the paper-fidelity protocol: measure 2000 transactions
@@ -85,12 +92,12 @@ type Options struct {
 // transactions, which takes a few thousand to populate the large metadata
 // arrays).
 func DefaultOptions() Options {
-	return Options{WarmupTxns: 3000, MeasureTxns: 2000, Seed: 0, Zeta: sim.NewZetaCache()}
+	return Options{WarmupTxns: 3000, MeasureTxns: 2000, Seed: 0, Zeta: sim.NewZetaCache(), Results: NewResultCache()}
 }
 
 // QuickOptions is a fast variant for tests and iteration.
 func QuickOptions() Options {
-	return Options{WarmupTxns: 150, MeasureTxns: 400, Seed: 0, Quick: true, Zeta: sim.NewZetaCache()}
+	return Options{WarmupTxns: 150, MeasureTxns: 400, Seed: 0, Quick: true, Zeta: sim.NewZetaCache(), Results: NewResultCache()}
 }
 
 // Params builds the workload parameters for a machine configuration.
@@ -131,19 +138,28 @@ func (o Options) build(cfg core.Config) *core.System {
 	return sys
 }
 
-// Run executes one configuration under the protocol.
+// Run executes one configuration under the protocol, or answers it from
+// Options.Results when an identical steady run is already cached.
 func (o Options) Run(cfg core.Config) stats.RunResult {
-	sys := o.build(cfg)
 	var res stats.RunResult
-	// Warm-snapshot sharing keys on the machine shape only, not the
-	// schedule, so scenario runs always warm for real.
-	if o.WarmSnapshot != nil && !cfg.Classify && o.Scenario == nil {
-		res = o.runWarm(cfg, sys)
+	if o.Results != nil && o.Scenario == nil {
+		res = o.Results.fetch(o.resultKey(cfg), func() stats.RunResult { return o.simulate(cfg) })
 	} else {
-		res = sys.Run(o.WarmupTxns, o.MeasuredTxns())
+		res = o.simulate(cfg)
 	}
 	res.Name = cfg.Name
 	return res
+}
+
+// simulate builds the machine and runs the protocol on it.
+func (o Options) simulate(cfg core.Config) stats.RunResult {
+	sys := o.build(cfg)
+	// Warm-snapshot sharing keys on the machine shape only, not the
+	// schedule, so scenario runs always warm for real.
+	if o.WarmSnapshot != nil && !cfg.Classify && o.Scenario == nil {
+		return o.runWarm(cfg, sys)
+	}
+	return sys.Run(o.WarmupTxns, o.MeasuredTxns())
 }
 
 // Figure is one reproduced figure: a titled series of bars with a designated

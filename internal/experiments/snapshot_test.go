@@ -79,6 +79,9 @@ func TestSnapshotEquivalence(t *testing.T) {
 // while identical machine shapes share one cached snapshot.
 func TestSnapshotWarmReuse(t *testing.T) {
 	o := invariantOptions()
+	// Without a result cache, Base and Base again both run, so the second
+	// restores the first's snapshot, and the again sweep restores for all.
+	o.Results = nil
 	cfgs := []core.Config{
 		core.BaseConfig(8, 8*core.MB, 1),
 		label(core.BaseConfig(8, 8*core.MB, 1), "Base again"),
