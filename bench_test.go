@@ -515,37 +515,17 @@ func BenchmarkStepScaling(b *testing.B) {
 	}
 }
 
-// benchStepWorkers times a whole warm+measure run of the 64-node full
-// configuration with a fixed intra-run stepping width. The serial and
-// sharded variants produce byte-identical results
-// (TestShardedSteppingMatchesSerial); the wall-clock gap is the epoch
-// engine's payoff, and benchdiff keeps the sharded variant from regressing
-// into a slowdown.
-func benchStepWorkers(b *testing.B, workers int) {
+// BenchmarkStep64Serial times a whole warm+measure run of the 64-node full
+// configuration: the large-machine guard on the run loop and the event
+// heap, at eight times the paper's largest machine.
+func BenchmarkStep64Serial(b *testing.B) {
 	o := experiments.QuickOptions()
 	o.WarmupTxns, o.MeasureTxns = 200, 400
-	o.StepWorkers = workers
 	o.Results = nil
 	cfg := FullIntegrationConfig(64, 2*MB, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = o.Run(cfg)
-	}
-}
-
-// BenchmarkStep64Serial is the serial reference for the 64-node run.
-func BenchmarkStep64Serial(b *testing.B) { benchStepWorkers(b, 1) }
-
-// BenchmarkStep64Sharded sweeps the epoch-shard worker count over the same
-// 64-node configuration, pinning the whole scaling curve — not one point —
-// in the benchdiff baseline. workers=1 exercises the sharded code path's
-// degenerate case (SetStepWorkers(1) keeps the serial engine, so it should
-// track BenchmarkStep64Serial exactly).
-func BenchmarkStep64Sharded(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			benchStepWorkers(b, workers)
-		})
 	}
 }
 

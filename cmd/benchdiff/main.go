@@ -90,7 +90,7 @@ func main() {
 	}
 
 	// Each guarded benchmark carries its own iteration budget:
-	// RunnerSerial and the Step64 pair regenerate a whole run per iteration
+	// RunnerSerial and Step64Serial regenerate a whole run per iteration
 	// (1x is already seconds of simulation); SimulationThroughput and
 	// StepScaling time single Step calls and need enough iterations that
 	// setup cost amortizes away, which is also what drives their allocs/op
@@ -98,11 +98,8 @@ func main() {
 	// nodes) are the scaling guard: each is recorded under its full
 	// "BenchmarkStepScaling/nodes=N" name, so a super-linear per-ref
 	// slowdown at large N shows up as a plain time regression at that N.
-	// Step64Sharded likewise sweeps worker counts as sub-benchmarks
-	// ("BenchmarkStep64Sharded/workers=N"), so the baseline records the
-	// whole parallel-efficiency curve, not one point. Oltpvet re-analyzes
-	// the whole module per iteration (seconds of type-checking), so like
-	// the runner benchmarks it runs at 1x.
+	// Oltpvet re-analyzes the whole module per iteration (seconds of
+	// type-checking), so like the runner benchmarks it runs at 1x.
 	specs := []benchSpec{
 		{"^BenchmarkRunnerSerial$", "1x"},
 		{"^BenchmarkRunnerColdRepeat$", "1x"},
@@ -110,7 +107,6 @@ func main() {
 		{"^BenchmarkSimulationThroughput$", "2000000x"},
 		{"^BenchmarkStepScaling$", "1000000x"},
 		{"^BenchmarkStep64Serial$", "1x"},
-		{"^BenchmarkStep64Sharded$", "1x"},
 		{"^BenchmarkJobThroughput$", "1x"},
 		{"^BenchmarkOltpvet$", "1x"},
 	}

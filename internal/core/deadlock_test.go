@@ -99,13 +99,13 @@ func (w *spinWorkload) Committed() uint64            { return 0 }
 
 // TestRunUntilPanicsOnLivelock: a workload that retires references forever
 // without committing must trip the deadlock guard within its budget, which
-// is denominated in references. One Step may retire up to maxEpochScan
+// is denominated in references. One Step may retire up to maxRunRefs
 // references, so the guard may overshoot by at most one such run — a guard
-// that counted Step calls would let the run go up to maxEpochScan times
+// that counted Step calls would let the run go up to maxRunRefs times
 // past the budget.
 func TestRunUntilPanicsOnLivelock(t *testing.T) {
 	sys := MustNewSystem(smallCfg(1), newSpinWorkload(1))
-	limit := sys.stepBound(1) + maxEpochScan
+	limit := sys.stepBound(1) + maxRunRefs
 	defer func() {
 		r := recover()
 		if r == nil {

@@ -30,7 +30,7 @@ import (
 // loop re-reads the core clock after each one and keeps going. The run
 // stops only at a scheduler event (end of the pending switch or segment
 // references, a possible preemption — the exact mirror of the scheduler's
-// slice test), at the root bound, or after maxEpochScan references. No
+// slice test), at the root bound, or after maxRunRefs references. No
 // transaction can commit inside a run, so RunUntil's commit-boundary
 // exactness is preserved.
 //
@@ -44,6 +44,10 @@ import (
 // Access/SetState calls per-reference stepping makes, so LRU order and hit
 // counters are bit-identical.
 
+// maxRunRefs caps the references one run may serve, so a single Step stays
+// a bounded unit of work for RunUntil's deadlock guard.
+const maxRunRefs = 4096
+
 // fastForward serves the core at the heap root for as long as it remains
 // the earliest event in the queue, returning the number of references
 // retired. 0 means the next event is not a plain reference (idle, dispatch,
@@ -51,6 +55,7 @@ import (
 func (s *System) fastForward(idx int, co *coreCtx) uint64 {
 	// The root keeps its slot while its key (clock, CPU ID) stays the queue
 	// minimum; the runner-up key is the smaller of the root's two children.
+	// With no runner-up the bound is ^0, which no live core's clock reaches.
 	limT := ^uint64(0)
 	limID := int32(-1)
 	h := s.heap
@@ -64,7 +69,7 @@ func (s *System) fastForward(idx int, co *coreCtx) uint64 {
 			}
 		}
 	}
-	n := s.serveRun(co, limT, limID, true)
+	n := s.serveRun(co, limT, limID)
 	if n > 0 {
 		s.clocks[idx] = co.model.Now()
 		s.siftDown(0)
@@ -95,12 +100,9 @@ func (b *hitBatch) flush(m *cpu.InOrder, nd *node) {
 
 // serveRun serves core co's pending references while each one's serve time
 // stays inside the bound: strictly before limT, or exactly at limT when co's
-// CPU ID is below limID (the serial root tie-break; pass limID < 0 for the
-// strict bound the sharded horizon requires). In serial mode an L1 miss is
-// finished inline and the run continues; in sharded mode (serial=false,
-// in-order cores only) a non-hit inside the bound violates the epoch
-// horizon argument and panics. Returns the number of references retired.
-func (s *System) serveRun(co *coreCtx, limT uint64, limID int32, serial bool) uint64 {
+// CPU ID is below limID (the serial root tie-break). An L1 miss is finished
+// inline and the run continues. Returns the number of references retired.
+func (s *System) serveRun(co *coreCtx, limT uint64, limID int32) uint64 {
 	m := co.inorder // nil for an out-of-order core
 	nd := co.chip
 	cid := int32(co.cpuID)
@@ -116,16 +118,14 @@ func (s *System) serveRun(co *coreCtx, limT uint64, limID int32, serial bool) ui
 scan:
 	// Phase 0 walks the pending context-switch overhead (served by the
 	// scheduler unconditionally — no slice accounting, no preemption test),
-	// phase 1 the running process's segment. Up to its first miss the walk
-	// mirrors scanSafePrefix exactly, which is what lets the sharded engine
-	// replay through this same function against its phase-A stop times.
+	// phase 1 the running process's segment.
 	for phase := 0; phase < 2; phase++ {
 		refs := pr.Switch
 		if phase == 1 {
 			refs = pr.Seg
 		}
 		for k := 0; k < len(refs); k++ {
-			if served >= maxEpochScan {
+			if served >= maxRunRefs {
 				break scan
 			}
 			if !(t < limT || (t == limT && cid < limID)) {
@@ -186,9 +186,6 @@ scan:
 				// Shared or Invalid: the store needs the L2 or the
 				// directory.
 			}
-			if !serial {
-				panic("core: sharded step left the validated prefix (memory miss)")
-			}
 			// The miss reaches the lower levels, whose contention model
 			// reads the core clock: land the batch (this reference's kind
 			// count included) first, exactly where per-reference stepping
@@ -207,9 +204,7 @@ scan:
 	}
 	if m != nil {
 		b.flush(m, nd)
-		if serial {
-			s.ffSteps += uint64(served - misses)
-		}
+		s.ffSteps += uint64(served - misses)
 	}
 	s.sched.ConsumeRun(co.cpuID, nSwitch, nSeg)
 	return uint64(served)

@@ -135,21 +135,14 @@ type System struct {
 
 	classifier *cache.Classifier // only when cfg.Classify
 
-	// stepWorkers > 1 turns on epoch-sharded stepping (shard.go) for
-	// eligible configurations; eng is its reusable scratch state.
-	//oltpvet:derived execution policy, not machine state: SetStepWorkers reconfigures it after load
-	stepWorkers int
-	//oltpvet:derived scratch for the sharded engine, rebuilt lazily by SetStepWorkers
-	eng *epochEngine
-
 	// noFF disables the run loop (fastforward.go). The zero value keeps it
 	// on; SetFastForward exists so tests can pin the run-loop/per-reference
 	// equivalence and benchmarks can measure the per-ref path.
 	//oltpvet:derived execution policy, not machine state: SetFastForward reconfigures it after load
 	noFF bool
-	// ffSteps counts references retired as batched in-order L1 hits (serial
-	// run loop and sharded phase-B replays). Diagnostic only: it feeds no
-	// RunResult and does not ride in snapshots.
+	// ffSteps counts references the run loop retired as batched in-order L1
+	// hits. Diagnostic only: it feeds no RunResult and does not ride in
+	// snapshots.
 	//oltpvet:derived diagnostic counter, not part of any result or snapshot
 	ffSteps uint64
 
@@ -369,11 +362,11 @@ func (s *System) Steps() uint64 { return s.steps }
 // tests can pin that equivalence and benchmarks can measure the slow path.
 func (s *System) SetFastForward(on bool) { s.noFF = !on }
 
-// FastForwarded returns how many references have been retired as batched
-// in-order L1 hits (serial runs plus sharded phase-B replays); misses and
-// out-of-order references served by the run loop are not counted. It is a
-// diagnostic for tests and profiling, not a statistic: the count feeds no
-// RunResult and resets with neither ResetStats nor snapshots.
+// FastForwarded returns how many references the run loop has retired as
+// batched in-order L1 hits; misses and out-of-order references it served
+// are not counted. It is a diagnostic for tests and profiling, not a
+// statistic: the count feeds no RunResult and resets with neither
+// ResetStats nor snapshots.
 func (s *System) FastForwarded() uint64 { return s.ffSteps }
 
 // Step advances the earliest CPU by one reference. It returns false when
@@ -470,10 +463,6 @@ func (s *System) stepBound(target uint64) uint64 {
 // panics if the simulation exceeds the stepBound-derived budget, which
 // indicates a scheduling deadlock.
 func (s *System) RunUntil(target uint64) {
-	if s.shardable() {
-		s.runUntilSharded(target)
-		return
-	}
 	var guard uint64
 	bound := s.stepBound(target)
 	commits := s.commits
@@ -485,31 +474,22 @@ func (s *System) RunUntil(target uint64) {
 		} else if s.w.Committed() >= target {
 			return
 		}
-		n, ok := s.guardedStep()
-		if !ok {
+		// The guard counts the references each Step retired, or 1 for a
+		// step that retired none (an idle nap, a core finishing), so the
+		// budget's unit stays fixed however many references one Step serves.
+		before := s.steps
+		if !s.Step() {
 			return
+		}
+		n := s.steps - before
+		if n == 0 {
+			n = 1
 		}
 		guard += n
 		if guard > bound {
 			s.deadlockPanic(guard, target)
 		}
 	}
-}
-
-// guardedStep performs one Step and returns what it costs the deadlock
-// guard: the references it retired, or 1 for a step that retired none (an
-// idle nap, a core finishing). Counting references rather than Step calls
-// keeps the budget's unit fixed no matter how many references one Step
-// serves. ok is false once every CPU is done.
-func (s *System) guardedStep() (n uint64, ok bool) {
-	before := s.steps
-	if !s.Step() {
-		return 0, false
-	}
-	if n = s.steps - before; n == 0 {
-		n = 1
-	}
-	return n, true
 }
 
 // deadlockPanic reports a run that exceeded its derived reference budget.

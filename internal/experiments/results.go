@@ -57,6 +57,6 @@ func (c *ResultCache) fetch(key string, run func() stats.RunResult) stats.RunRes
 // that shapes the result or the execution path that produces it. Progress,
 // Zeta and Results never change a result; scenario runs bypass the cache.
 func (o Options) resultKey(cfg core.Config) string {
-	return fmt.Sprintf("%s measure=%d workers=%d step=%d noff=%t warm=%t",
-		o.warmKey(cfg), o.MeasureTxns, o.Workers, o.StepWorkers, o.NoFastForward, o.WarmSnapshot != nil)
+	return fmt.Sprintf("%s measure=%d workers=%d noff=%t warm=%t",
+		o.warmKey(cfg), o.MeasureTxns, o.Workers, o.NoFastForward, o.WarmSnapshot != nil)
 }

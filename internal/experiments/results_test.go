@@ -77,7 +77,6 @@ func TestResultCacheKeyedOptionsMiss(t *testing.T) {
 		{"Seed", func(v *Options) { v.Seed = 7 }},
 		{"WarmupTxns", func(v *Options) { v.WarmupTxns++ }},
 		{"Quick", func(v *Options) { v.Quick = false }},
-		{"StepWorkers", func(v *Options) { v.StepWorkers = 2 }},
 		{"NoFastForward", func(v *Options) { v.NoFastForward = true }},
 	}
 	for _, tc := range variants {
@@ -146,7 +145,6 @@ var optionsFieldRoles = map[string]string{
 	"Seed":          "keyed",
 	"Quick":         "keyed",
 	"Workers":       "keyed",
-	"StepWorkers":   "keyed",
 	"NoFastForward": "keyed",
 	"WarmSnapshot":  "keyed",
 	"Scenario":      "bypass", // TestResultCacheBypassesScenarios

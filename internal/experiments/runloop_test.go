@@ -2,11 +2,31 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"oltpsim/internal/core"
 	"oltpsim/internal/snapshot"
 )
+
+// TestRunLoopMatchesPerReference is the byte-identity contract of the
+// stepping engine: every invariant machine shape must produce exactly the
+// same RunResult with the run loop (the default) as with per-reference
+// stepping (NoFastForward).
+func TestRunLoopMatchesPerReference(t *testing.T) {
+	for _, cfg := range invariantConfigs() {
+		cfg := cfg
+		t.Run(cfg.Name, func(t *testing.T) {
+			t.Parallel()
+			perRef := invariantOptions()
+			perRef.NoFastForward = true
+			want := perRef.Run(cfg)
+			if got := invariantOptions().Run(cfg); !reflect.DeepEqual(want, got) {
+				t.Fatalf("run loop diverged from per-reference stepping:\nper-ref:  %+v\nrun loop: %+v", want, got)
+			}
+		})
+	}
+}
 
 // identityCommits is how many commit boundaries TestRunLoopStateAtEveryCommit
 // compares per machine shape (an eighth of them under -short, which the

@@ -9,12 +9,11 @@ import (
 	"oltpsim/internal/oltp"
 )
 
-// TestScenarioExecutionPathIdentity is the three-way equivalence for phased
-// runs: serial stepping, hit-run fast-forwarding, and epoch-sharded
-// stepping must produce byte-identical ScenarioResults for every reference
-// profile. Phase boundaries are commit counts and every execution path
-// retires commits at the same steps, so the phase switches land on
-// identical transactions.
+// TestScenarioExecutionPathIdentity is the equivalence of the two stepping
+// paths for phased runs: per-reference stepping and the run loop must
+// produce byte-identical ScenarioResults for every reference profile. Phase
+// boundaries are commit counts and both paths retire commits at the same
+// steps, so the phase switches land on identical transactions.
 func TestScenarioExecutionPathIdentity(t *testing.T) {
 	cfg := core.FullConfig(8, 2*core.MB, 8)
 	for _, p := range scenarioProfiles() {
@@ -29,13 +28,7 @@ func TestScenarioExecutionPathIdentity(t *testing.T) {
 			noFF := o
 			noFF.NoFastForward = true
 			if got := noFF.RunScenario(cfg); !reflect.DeepEqual(got, ref) {
-				t.Errorf("per-reference stepping diverged from fast-forwarded run")
-			}
-
-			sharded := o
-			sharded.StepWorkers = 4
-			if got := sharded.RunScenario(cfg); !reflect.DeepEqual(got, ref) {
-				t.Errorf("sharded stepping diverged from serial run")
+				t.Errorf("per-reference stepping diverged from the run loop")
 			}
 		})
 	}
@@ -52,7 +45,6 @@ func TestScenarioSinglePhaseIsSteadyState(t *testing.T) {
 
 	steady := o
 	sysSteady := core.MustNewSystem(cfg, oltp.MustNewHarness(steady.Params(cfg)))
-	sysSteady.SetStepWorkers(steady.StepWorkers)
 	sysSteady.SetFastForward(true)
 	refRes := sysSteady.Run(steady.WarmupTxns, steady.MeasureTxns)
 	refRes.Name = cfg.Name
@@ -60,7 +52,6 @@ func TestScenarioSinglePhaseIsSteadyState(t *testing.T) {
 	phased := o
 	phased.Scenario = compileProfile(t, steadyProfile(o.MeasureTxns))
 	sysPhased := core.MustNewSystem(cfg, oltp.MustNewHarness(phased.Params(cfg)))
-	sysPhased.SetStepWorkers(phased.StepWorkers)
 	sysPhased.SetFastForward(true)
 	sysPhased.RunUntil(phased.WarmupTxns)
 	sysPhased.ResetStats()

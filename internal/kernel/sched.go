@@ -367,10 +367,11 @@ func (s *Scheduler) allDead(c *cpuQueue) bool {
 	return true
 }
 
-// PendingRun is a read-only view of the references cpu would serve next,
-// taken for speculative lookahead (the epoch-sharded stepping engine in
-// internal/core). The slices alias scheduler-owned buffers and are valid
-// only until the next mutating call for this cpu.
+// PendingRun is a read-only view of the references cpu would serve next.
+// Its consumer is the run loop in internal/core (fastforward.go), which
+// serves a whole run of these references from one view and then retires
+// them with ConsumeRun. The slices alias scheduler-owned buffers and are
+// valid only until the next mutating call for this cpu.
 //
 // The serve order it describes: every Switch reference first (context-switch
 // overhead is served unconditionally, with no slice accounting), then Seg

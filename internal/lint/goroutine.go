@@ -9,14 +9,9 @@ import (
 // ApprovedGoroutineFiles are the only files under internal/ allowed to start
 // goroutines. Everything the simulator computes must be a pure function of
 // configuration and seed, and the files below are the only places where
-// concurrency has a proven determinism argument:
+// concurrency has a proven determinism argument. Both parallelize across
+// whole simulations; a single simulation always runs on one goroutine.
 //
-//   - internal/core/shard.go: the epoch-sharded stepping engine, whose
-//     barrier protocol guarantees parallel phases execute exactly the
-//     serial-order prefix (see DESIGN.md, "Event-queue core");
-//   - internal/core/epochpool.go: that engine's persistent worker pool —
-//     the goroutines are dumb executors of the engine's phases, created and
-//     retired inside one RunUntil, synchronized by the same barrier;
 //   - internal/experiments/runner.go: the experiment worker pool, which
 //     parallelizes across independent System instances that share no
 //     mutable state;
@@ -28,8 +23,6 @@ import (
 // A `go` statement anywhere else under internal/ is an unreviewed
 // concurrency seam and is reported.
 var ApprovedGoroutineFiles = []string{
-	"internal/core/shard.go",
-	"internal/core/epochpool.go",
 	"internal/experiments/runner.go",
 	"internal/server/queue.go",
 }
@@ -42,7 +35,7 @@ func NewGoroutineDiscipline(approved []string) *Analyzer {
 	a := &Analyzer{
 		Name: "goroutine",
 		Doc: "forbid `go` statements under internal/ outside the approved concurrency\n" +
-			"seams (the epoch-sharded stepping engine and the experiment worker pool);\n" +
+			"seams (the experiment worker pool and the job server's worker pool);\n" +
 			"ad-hoc goroutines are how nondeterminism and data races enter a simulator",
 	}
 	a.Run = func(pass *Pass) {
@@ -56,7 +49,7 @@ func NewGoroutineDiscipline(approved []string) *Analyzer {
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok {
-					pass.Reportf(g.Pos(), "go statement outside the approved concurrency seams; deterministic parallelism belongs in the epoch scheduler (internal/core/shard.go) or the experiment runner pool")
+					pass.Reportf(g.Pos(), "go statement outside the approved concurrency seams; run whole simulations concurrently through the experiment runner pool (internal/experiments/runner.go) instead")
 				}
 				return true
 			})

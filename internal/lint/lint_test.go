@@ -184,6 +184,19 @@ func TestExpandSkipsTestdata(t *testing.T) {
 	}
 }
 
+// TestApprovedGoroutineFilesExist keeps the goroutine allowlist honest: an
+// approval for a file that no longer exists would silently exempt any file
+// later created under that name, so every entry must name a real file
+// under the module root.
+func TestApprovedGoroutineFilesExist(t *testing.T) {
+	ld := testLoader(t)
+	for _, rel := range ApprovedGoroutineFiles {
+		if _, err := os.Stat(filepath.Join(ld.ModDir, filepath.FromSlash(rel))); err != nil {
+			t.Errorf("approved goroutine file %s: %v", rel, err)
+		}
+	}
+}
+
 // TestRepoIsClean is the acceptance criterion as a regression test: the
 // full analyzer suite over every package of the module must report
 // nothing. The whole module loads into one Program so the call-graph

@@ -2,6 +2,8 @@ package server
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -374,4 +376,67 @@ func TestServerRestartKeepsHistory(t *testing.T) {
 		t.Errorf("new job reused recovered ID %s", j.ID)
 	}
 	s2.cancelJob(j3)
+}
+
+// TestStepWorkersIsNoOp pins the compatibility contract of the no-op
+// step_workers field: a spec carrying it is accepted and persisted with it,
+// a server killed mid-job and restarted on the same directory restores and
+// finishes the job, and its results are byte-equal to those of the same
+// spec without the field.
+func TestStepWorkersIsNoOp(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs real simulations")
+	}
+	withField := strings.Replace(smokeSpec(), `"quick": true`, `"quick": true, "step_workers": 4`, 1)
+	dir := t.TempDir()
+	cfg := testServerConfig(dir)
+	var (
+		writes int32
+		victim *Server
+	)
+	killed := make(chan struct{})
+	cfg.OnCheckpoint = func(string, int, int) {
+		if atomic.AddInt32(&writes, 1) == 2 {
+			victim.Kill()
+			close(killed)
+		}
+	}
+	s1, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim = s1
+	j := submitDirect(t, s1, withField)
+	if j.Spec.StepWorkers != 4 {
+		t.Fatalf("decoded step_workers = %d, want 4", j.Spec.StepWorkers)
+	}
+	s1.Start()
+	<-killed
+	s1.Close()
+	if st := j.status(); st.State.Terminal() {
+		t.Fatalf("job reached %q before the kill", st.State)
+	}
+	persisted, err := os.ReadFile(filepath.Join(s1.st.jobDir(j.ID), "spec.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(persisted, []byte(`"step_workers":4`)) {
+		t.Fatalf("persisted spec lost step_workers: %s", persisted)
+	}
+
+	s2 := newTestServer(t, testServerConfig(dir))
+	j2, ok := s2.jobByID(j.ID)
+	if !ok {
+		t.Fatalf("restart lost job %s", j.ID)
+	}
+	plain := submitDirect(t, s2, smokeSpec())
+	for _, id := range []string{j.ID, plain.ID} {
+		if got := waitTerminal(t, s2, id); got != StateDone {
+			t.Fatalf("job %s finished %q", id, got)
+		}
+	}
+	got, want := mustJSON(t, j2.status().Results), mustJSON(t, plain.status().Results)
+	if !bytes.Equal(got, want) {
+		t.Errorf("step_workers changed the results:\n with %s\n without %s", got, want)
+	}
 }
