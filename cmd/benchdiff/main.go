@@ -102,8 +102,6 @@ func main() {
 	// type-checking), so like the runner benchmarks it runs at 1x.
 	specs := []benchSpec{
 		{"^BenchmarkRunnerSerial$", "1x"},
-		{"^BenchmarkRunnerColdRepeat$", "1x"},
-		{"^BenchmarkRunnerWarmReuse$", "1x"},
 		{"^BenchmarkSimulationThroughput$", "2000000x"},
 		{"^BenchmarkStepScaling$", "1000000x"},
 		{"^BenchmarkStep64Serial$", "1x"},

@@ -23,7 +23,6 @@ import (
 	"oltpsim/internal/experiments"
 	"oltpsim/internal/prof"
 	"oltpsim/internal/scenario"
-	"oltpsim/internal/stats"
 )
 
 func main() {
@@ -91,20 +90,16 @@ func main() {
 		opt.Scenario = sched
 	}
 
-	printConfig := func() {
-		fmt.Printf("configuration: %s (%s, %d processor(s))\n", cfg.Name, cfg.Level, cfg.Processors)
-		lat := cfg.Latencies()
-		fmt.Printf("latencies: L2 hit %d, local %d, remote %d, remote dirty %d\n",
-			lat.L2Hit, lat.Local, lat.Remote, lat.RemoteDirty)
+	sr, err := run(opt, cfg, *resume, *checkpoint, *ckptEvery)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "oltpsim:", err)
+		os.Exit(1)
 	}
-
+	fmt.Printf("configuration: %s (%s, %d processor(s))\n", cfg.Name, cfg.Level, cfg.Processors)
+	lat := cfg.Latencies()
+	fmt.Printf("latencies: L2 hit %d, local %d, remote %d, remote dirty %d\n",
+		lat.L2Hit, lat.Local, lat.Remote, lat.RemoteDirty)
 	if opt.Scenario != nil {
-		sr, err := runScenario(opt, cfg, *resume, *checkpoint, *ckptEvery)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "oltpsim:", err)
-			os.Exit(1)
-		}
-		printConfig()
 		fmt.Printf("scenario: %s (%d phase(s), %d transactions)\n",
 			opt.Scenario.Name(), opt.Scenario.NumPhases(), opt.Scenario.TotalTxns())
 		for i := range sr.Phases {
@@ -112,28 +107,14 @@ func main() {
 			fmt.Printf("phase %-12s %8d txns  %10.1f cycles/txn  %8.2f L2 misses/txn\n",
 				p.Result.Name, p.Result.Txns, p.Result.CyclesPerTxn(), p.Result.MissesPerTxn())
 		}
-		fmt.Print(sr.Total.Summary())
-		if *timeline != "" {
-			if err := writeTimeline(*timeline, &sr); err != nil {
-				fmt.Fprintln(os.Stderr, "oltpsim:", err)
-				os.Exit(1)
-			}
-		}
-		return
 	}
-
-	var res stats.RunResult
-	if *checkpoint == "" && *resume == "" {
-		res = opt.Run(cfg)
-	} else {
-		res, err = runCheckpointed(opt, cfg, *resume, *checkpoint, *ckptEvery)
-		if err != nil {
+	fmt.Print(sr.Total.Summary())
+	if *timeline != "" {
+		if err := writeTimeline(*timeline, &sr); err != nil {
 			fmt.Fprintln(os.Stderr, "oltpsim:", err)
 			os.Exit(1)
 		}
 	}
-	printConfig()
-	fmt.Print(res.Summary())
 }
 
 // loadSchedule decodes and compiles a scenario profile file.
@@ -148,23 +129,6 @@ func loadSchedule(path string) (*scenario.Schedule, error) {
 		return nil, fmt.Errorf("scenario %s: %w", path, err)
 	}
 	return prof.Compile()
-}
-
-// runScenario executes a phased run, plain or through the checkpoint
-// protocol when -checkpoint/-resume are set.
-func runScenario(opt experiments.Options, cfg core.Config, resumePath, checkpointPath string, every uint64) (experiments.ScenarioResult, error) {
-	if checkpointPath == "" && resumePath == "" {
-		return opt.RunScenario(cfg), nil
-	}
-	cr, err := checkpointIO(resumePath, checkpointPath, every)
-	if err != nil {
-		return experiments.ScenarioResult{}, err
-	}
-	sr, _, err := opt.RunScenarioCheckpointed(cfg, cr)
-	if err != nil && resumePath != "" {
-		err = fmt.Errorf("resume %s: %w", resumePath, err)
-	}
-	return sr, err
 }
 
 // writeTimeline writes the per-phase timeline, JSON for .json paths and CSV
@@ -185,21 +149,21 @@ func writeTimeline(path string, sr *experiments.ScenarioResult) error {
 	return err
 }
 
-// runCheckpointed executes the warmup/measure protocol with checkpoint
-// and/or resume through experiments.RunCheckpointed (shared with the
-// oltpserver job executor). The step sequence is identical to
-// experiments.Options.Run (checkpoint writes are read-only), so a resumed
-// run's output is bit-identical to an uninterrupted one.
-func runCheckpointed(opt experiments.Options, cfg core.Config, resumePath, checkpointPath string, every uint64) (stats.RunResult, error) {
+// run executes the protocol through experiments.RunCheckpointed (shared
+// with the oltpserver job executor), with -resume and -checkpoint wired in
+// when set. Checkpoint writes are read-only and stop on the same commit
+// boundaries as a plain run, so a resumed run's output is bit-identical to
+// an uninterrupted one.
+func run(opt experiments.Options, cfg core.Config, resumePath, checkpointPath string, every uint64) (experiments.ScenarioResult, error) {
 	cr, err := checkpointIO(resumePath, checkpointPath, every)
 	if err != nil {
-		return stats.RunResult{}, err
+		return experiments.ScenarioResult{}, err
 	}
-	res, _, err := opt.RunCheckpointed(cfg, cr)
+	sr, _, err := opt.RunCheckpointed(cfg, cr)
 	if err != nil && resumePath != "" {
 		err = fmt.Errorf("resume %s: %w", resumePath, err)
 	}
-	return res, err
+	return sr, err
 }
 
 // checkpointIO wires file paths into a CheckpointRun.

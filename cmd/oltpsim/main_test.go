@@ -57,7 +57,7 @@ func TestCheckpointWriteLeavesNoTemp(t *testing.T) {
 	path := filepath.Join(dir, "ck")
 	o := testOptions()
 	cfg := core.BaseConfig(1, 1*core.MB, 1)
-	want, err := runCheckpointed(o, cfg, "", path, 40)
+	want, err := run(o, cfg, "", path, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestCheckpointWriteLeavesNoTemp(t *testing.T) {
 	if !reflect.DeepEqual(names, []string{"ck"}) {
 		t.Errorf("directory holds %v after the run, want only the checkpoint", names)
 	}
-	got, err := runCheckpointed(o, cfg, path, "", 0)
+	got, err := run(o, cfg, path, "", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

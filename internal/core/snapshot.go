@@ -235,7 +235,7 @@ func (s *System) Load(in io.Reader) error {
 // RunMeasured executes the measurement phase against the current —
 // presumably warmed — machine state: reset statistics, run measureTxns more
 // committed transactions, and collect. Run is warmup followed by
-// RunMeasured; a restored warm snapshot replaces the warmup.
+// RunMeasured; a restored end-of-warmup snapshot replaces the warmup.
 func (s *System) RunMeasured(measureTxns uint64) stats.RunResult {
 	base := s.w.Committed()
 	s.ResetStats()

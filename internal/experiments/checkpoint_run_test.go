@@ -43,7 +43,7 @@ func TestRunCheckpointedMatchesRun(t *testing.T) {
 			if steps == 0 {
 				t.Errorf("%s every=%d: reported zero steps", cfg.Name, every)
 			}
-			if !reflect.DeepEqual(res, want) {
+			if !reflect.DeepEqual(res.Total, want) {
 				t.Errorf("%s every=%d: checkpointed result diverges from Options.Run", cfg.Name, every)
 			}
 			if len(checkpoints) < 3 {
@@ -56,7 +56,7 @@ func TestRunCheckpointedMatchesRun(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s every=%d resume %d: %v", cfg.Name, every, i, err)
 				}
-				if !reflect.DeepEqual(resumed, want) {
+				if !reflect.DeepEqual(resumed.Total, want) {
 					t.Errorf("%s every=%d: resume from checkpoint %d diverges", cfg.Name, every, i)
 				}
 			}
@@ -80,7 +80,7 @@ func TestRunCheckpointedNoQuantum(t *testing.T) {
 	if n != 1 {
 		t.Errorf("wrote %d checkpoints, want 1 (end of warmup only)", n)
 	}
-	if !reflect.DeepEqual(res, want) {
+	if !reflect.DeepEqual(res.Total, want) {
 		t.Error("result diverges from Options.Run")
 	}
 }
@@ -117,7 +117,7 @@ func TestRunCheckpointedCancel(t *testing.T) {
 		if err != nil {
 			t.Fatalf("after=%d: resume: %v", after, err)
 		}
-		if !reflect.DeepEqual(resumed, want) {
+		if !reflect.DeepEqual(resumed.Total, want) {
 			t.Errorf("after=%d: resumed result diverges from uninterrupted run", after)
 		}
 	}

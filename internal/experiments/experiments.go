@@ -37,14 +37,6 @@ type Options struct {
 	// both sides and benchmarks can price the bulk path. The zero value —
 	// fast-forward on — is what every committed figure uses.
 	NoFastForward bool
-	// WarmSnapshot, when non-nil, shares end-of-warmup machine snapshots
-	// between the runs of a sweep: configurations with an identical machine
-	// shape and seed fork their measurement phases from one warm state
-	// instead of each re-running the warmup. Restoring a snapshot is
-	// bit-identical to re-running the warmup, so results do not depend on
-	// the cache; nil (the default, used for all committed figures) keeps the
-	// traditional warm-every-run path.
-	WarmSnapshot *WarmCache
 	// Progress, when non-nil, is called by RunMany after each configuration
 	// of a sweep finishes, with the number of configurations completed so
 	// far and the sweep total. Calls are serialized (never concurrent),
@@ -132,25 +124,15 @@ func (o Options) build(cfg core.Config) *core.System {
 // Run executes one configuration under the protocol, or answers it from
 // Options.Results when an identical steady run is already cached.
 func (o Options) Run(cfg core.Config) stats.RunResult {
+	simulate := func() stats.RunResult { return o.RunScenario(cfg).Total }
 	var res stats.RunResult
 	if o.Results != nil && o.Scenario == nil {
-		res = o.Results.fetch(o.resultKey(cfg), func() stats.RunResult { return o.simulate(cfg) })
+		res = o.Results.fetch(o.resultKey(cfg), simulate)
 	} else {
-		res = o.simulate(cfg)
+		res = simulate()
 	}
 	res.Name = cfg.Name
 	return res
-}
-
-// simulate builds the machine and runs the protocol on it.
-func (o Options) simulate(cfg core.Config) stats.RunResult {
-	sys := o.build(cfg)
-	// Warm-snapshot sharing keys on the machine shape only, not the
-	// schedule, so scenario runs always warm for real.
-	if o.WarmSnapshot != nil && !cfg.Classify && o.Scenario == nil {
-		return o.runWarm(cfg, sys)
-	}
-	return sys.Run(o.WarmupTxns, o.MeasuredTxns())
 }
 
 // Figure is one reproduced figure: a titled series of bars with a designated

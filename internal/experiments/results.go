@@ -53,10 +53,11 @@ func (c *ResultCache) fetch(key string, run func() stats.RunResult) stats.RunRes
 	return e.res
 }
 
-// resultKey identifies a steady run: the machine shape and every option
-// that shapes the result or the execution path that produces it. Progress,
-// Zeta and Results never change a result; scenario runs bypass the cache.
+// resultKey identifies a steady run: the machine shape (configuration
+// minus its display name) and every option that shapes the result or the
+// execution path that produces it. Progress, Zeta and Results never change
+// a result; scenario runs bypass the cache.
 func (o Options) resultKey(cfg core.Config) string {
-	return fmt.Sprintf("%s measure=%d workers=%d noff=%t warm=%t",
-		o.warmKey(cfg), o.MeasureTxns, o.Workers, o.NoFastForward, o.WarmSnapshot != nil)
+	return fmt.Sprintf("%s seed=%d warmup=%d quick=%t measure=%d workers=%d noff=%t",
+		cfg.Fingerprint(), o.Seed, o.WarmupTxns, o.Quick, o.MeasureTxns, o.Workers, o.NoFastForward)
 }

@@ -146,7 +146,6 @@ var optionsFieldRoles = map[string]string{
 	"Quick":         "keyed",
 	"Workers":       "keyed",
 	"NoFastForward": "keyed",
-	"WarmSnapshot":  "keyed",
 	"Scenario":      "bypass", // TestResultCacheBypassesScenarios
 	"Progress":      "neutral",
 	"Zeta":          "neutral",

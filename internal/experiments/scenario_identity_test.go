@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
 	"reflect"
+	"strings"
 	"testing"
 
 	"oltpsim/internal/core"
 	"oltpsim/internal/oltp"
+	"oltpsim/internal/snapshot"
 )
 
 // TestScenarioExecutionPathIdentity is the equivalence of the two stepping
@@ -98,7 +101,7 @@ func TestScenarioCheckpointResumeEquivalence(t *testing.T) {
 	ref := o.RunScenario(cfg)
 
 	var checkpoints [][]byte
-	full, _, err := o.RunScenarioCheckpointed(cfg, CheckpointRun{
+	full, _, err := o.RunCheckpointed(cfg, CheckpointRun{
 		Every: 17,
 		Write: func(data []byte) error {
 			checkpoints = append(checkpoints, append([]byte(nil), data...))
@@ -118,7 +121,7 @@ func TestScenarioCheckpointResumeEquivalence(t *testing.T) {
 	// Resume from every checkpoint — end-of-warmup, mid-phase, and
 	// end-of-phase snapshots alike must all converge on the same result.
 	for i, ck := range checkpoints {
-		resumed, _, err := o.RunScenarioCheckpointed(cfg, CheckpointRun{Resume: ck})
+		resumed, _, err := o.RunCheckpointed(cfg, CheckpointRun{Resume: ck})
 		if err != nil {
 			t.Fatalf("resuming checkpoint %d: %v", i, err)
 		}
@@ -128,31 +131,72 @@ func TestScenarioCheckpointResumeEquivalence(t *testing.T) {
 	}
 }
 
-// TestScenarioCheckpointFingerprintGuard rejects resuming one scenario's
-// checkpoint under a different schedule: splicing two parameter streams
-// would silently corrupt the phase clock.
+// TestScenarioCheckpointFingerprintGuard: a checkpoint resumes only under
+// the schedule, the protocol lengths and the container version that wrote
+// it. Each case resumes
+// a container under the wrong options and must fail with an error naming
+// the mismatch — never a cryptic section error, never a silent splice of
+// two parameter streams.
 func TestScenarioCheckpointFingerprintGuard(t *testing.T) {
 	cfg := core.BaseConfig(1, 8*core.MB, 1)
-	o := invariantOptions()
-	o.Scenario = compileProfile(t, mixFlipProfile())
+	steady := invariantOptions()
+	flip, drift := steady, steady
+	flip.Scenario = compileProfile(t, mixFlipProfile())
+	drift.Scenario = compileProfile(t, skewDriftProfile())
 
-	var last []byte
-	if _, _, err := o.RunScenarioCheckpointed(cfg, CheckpointRun{
-		Every: 40,
-		Write: func(data []byte) error {
-			last = append(last[:0], data...)
-			return nil
-		},
-	}); err != nil {
-		t.Fatal(err)
+	// checkpoints runs o with a 40-transaction quantum and returns every
+	// container it wrote, in order.
+	checkpoints := func(o Options) [][]byte {
+		var cks [][]byte
+		if _, _, err := o.RunCheckpointed(cfg, CheckpointRun{
+			Every: 40,
+			Write: func(data []byte) error {
+				cks = append(cks, append([]byte(nil), data...))
+				return nil
+			},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if cks == nil {
+			t.Fatal("no checkpoint written")
+		}
+		return cks
 	}
-	if last == nil {
-		t.Fatal("no checkpoint written")
+	// Warmup 60, measure 120, quantum 40: mid-warmup at 40, end of warmup,
+	// then 40, 80 and 120 transactions into measurement.
+	steadyCks, flipCks := checkpoints(steady), checkpoints(flip)
+	steadyCk, flipCk := steadyCks[len(steadyCks)-1], flipCks[len(flipCks)-1]
+	if len(steadyCks) != 5 {
+		t.Fatalf("steady run wrote %d checkpoints, want 5", len(steadyCks))
 	}
+	midWarmupCk, midMeasureCk := steadyCks[0], steadyCks[3]
+	longer, shorter, warmer, cooler := steady, steady, steady, steady
+	longer.MeasureTxns += 40
+	shorter.MeasureTxns -= 60
+	warmer.WarmupTxns += 40
+	cooler.WarmupTxns -= 40
+	v1Ck := append([]byte(nil), steadyCk...)
+	binary.LittleEndian.PutUint32(v1Ck[len(snapshot.Magic):], 1)
 
-	other := o
-	other.Scenario = compileProfile(t, skewDriftProfile())
-	if _, _, err := other.RunScenarioCheckpointed(cfg, CheckpointRun{Resume: last}); err == nil {
-		t.Fatal("resuming under a different scenario was accepted")
+	for _, tc := range []struct {
+		name   string
+		ck     []byte
+		resume Options
+		want   string
+	}{
+		{"steady resumed under a scenario", steadyCk, flip, "schedule mismatch"},
+		{"scenario resumed as steady", flipCk, steady, "schedule mismatch"},
+		{"scenario resumed under another scenario", flipCk, drift, "schedule mismatch"},
+		{"version 1 container", v1Ck, steady, "version 1"},
+		{"finished steady run resumed with a longer measurement", steadyCk, longer, "protocol mismatch"},
+		{"finished steady run resumed with a shorter measurement", steadyCk, shorter, "protocol mismatch"},
+		{"finished steady run resumed with a longer warmup", steadyCk, warmer, "protocol mismatch"},
+		{"mid-measurement resumed past a shorter measurement", midMeasureCk, shorter, "protocol mismatch"},
+		{"mid-warmup resumed past a shorter warmup", midWarmupCk, cooler, "protocol mismatch"},
+	} {
+		_, _, err := tc.resume.RunCheckpointed(cfg, CheckpointRun{Resume: tc.ck})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want an error naming %q", tc.name, err, tc.want)
+		}
 	}
 }

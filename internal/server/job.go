@@ -17,7 +17,7 @@ import (
 // least one checkpoint for its in-flight configuration, so killing the
 // server here loses no more than one checkpoint quantum of work. A server
 // restart re-queues every non-terminal job and resumes it from its latest
-// checkpoint; DESIGN.md §6 argues why the resumed results are
+// checkpoint; DESIGN.md §7 argues why the resumed results are
 // bit-identical.
 type State string
 

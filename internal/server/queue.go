@@ -139,7 +139,7 @@ func (s *Server) runJob(j *Job) {
 			s.mu.Unlock()
 			s.cfg.Logf("resuming %s configuration %d from checkpoint", j.ID, i)
 		}
-		res, steps, err := o.RunCheckpointed(j.cfgs[i], cr)
+		sr, steps, err := o.RunCheckpointed(j.cfgs[i], cr)
 		end := s.cfg.Now()
 		j.addWork(steps, end.Sub(start))
 		start = end
@@ -147,7 +147,7 @@ func (s *Server) runJob(j *Job) {
 			s.stopJob(j, i, err)
 			return
 		}
-		if err := s.commitResult(j, i, res); err != nil {
+		if err := s.commitResult(j, i, sr.Total); err != nil {
 			s.finishJob(j, StateFailed, "persisting result: "+err.Error())
 			return
 		}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -378,65 +379,101 @@ func TestServerRestartKeepsHistory(t *testing.T) {
 	s2.cancelJob(j3)
 }
 
-// TestStepWorkersIsNoOp pins the compatibility contract of the no-op
-// step_workers field: a spec carrying it is accepted and persisted with it,
-// a server killed mid-job and restarted on the same directory restores and
-// finishes the job, and its results are byte-equal to those of the same
-// spec without the field.
-func TestStepWorkersIsNoOp(t *testing.T) {
+// writeJobDir lays out one persisted job by hand, as an older build would
+// have left it: spec.json verbatim, state.json, and the optional results
+// and checkpoint files.
+func writeJobDir(t *testing.T, dataDir, id, spec, state string, results, checkpoint []byte) {
+	t.Helper()
+	dir := filepath.Join(dataDir, "jobs", id)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	files := map[string][]byte{"spec.json": []byte(spec), "state.json": []byte(state)}
+	if results != nil {
+		files["results.json"] = results
+	}
+	if checkpoint != nil {
+		files["checkpoint.bin"] = checkpoint
+	}
+	for name, data := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestRestartWithUndecodableSpec pins recovery of a job whose persisted
+// spec carries a field the wire format no longer has (step_workers, once a
+// no-op): the server still starts, a finished job stays done with its
+// results, an unfinished one becomes failed naming the field, neither is
+// re-queued, and new IDs continue after both.
+func TestRestartWithUndecodableSpec(t *testing.T) {
+	withField := strings.Replace(smokeSpec(), `"quick": true`, `"quick": true, "step_workers": 4`, 1)
+	dir := t.TempDir()
+	writeJobDir(t, dir, "job-000001", withField, `{"state":"done","config":2,"checkpoints":4}`,
+		[]byte(`[{"Name":"a"},{"Name":"b"}]`), nil)
+	writeJobDir(t, dir, "job-000002", withField, `{"state":"checkpointed","config":0,"checkpoints":1}`,
+		nil, []byte("OLTPSNAP"))
+	cfg := testServerConfig(dir)
+	var logs []string
+	cfg.Logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("server did not start: %v", err)
+	}
+	defer s.Close()
+	done, ok := s.jobByID("job-000001")
+	if !ok {
+		t.Fatal("restart lost the finished job")
+	}
+	if st := done.status(); st.State != StateDone || len(st.Results) != 2 || st.Name != "smoke" {
+		t.Errorf("finished job recovered as %q with %d results, name %q; want done, 2, smoke",
+			st.State, len(st.Results), st.Name)
+	}
+	failed, ok := s.jobByID("job-000002")
+	if !ok {
+		t.Fatal("restart lost the unfinished job")
+	}
+	if st := failed.status(); st.State != StateFailed || !strings.Contains(st.Error, "step_workers") {
+		t.Errorf("unfinished job recovered as %q (error %q), want failed naming step_workers", st.State, st.Error)
+	}
+	s.mu.Lock()
+	pending, seq := len(s.pending), s.seq
+	s.mu.Unlock()
+	if pending != 0 {
+		t.Errorf("restart re-queued %d jobs it cannot run", pending)
+	}
+	if seq != 2 {
+		t.Errorf("sequence after recovery %d, want 2", seq)
+	}
+	if n := len(logs); n < 2 || !strings.Contains(strings.Join(logs, "\n"), "no longer decodes") {
+		t.Errorf("recovery logged %q, want a line per undecodable spec", logs)
+	}
+}
+
+// TestRestartDiscardsOtherVersionCheckpoint: an in-flight job whose
+// checkpoint was written in another snapshot format version restarts that
+// configuration from scratch and finishes with the results of an
+// uninterrupted run, instead of failing on the version check.
+func TestRestartDiscardsOtherVersionCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulations")
 	}
-	withField := strings.Replace(smokeSpec(), `"quick": true`, `"quick": true, "step_workers": 4`, 1)
+	_, cfgs, err := DecodeJobSpec(strings.NewReader(smokeSpec()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := mustJSON(t, smokeOptions().RunMany(cfgs))
 	dir := t.TempDir()
-	cfg := testServerConfig(dir)
-	var (
-		writes int32
-		victim *Server
-	)
-	killed := make(chan struct{})
-	cfg.OnCheckpoint = func(string, int, int) {
-		if atomic.AddInt32(&writes, 1) == 2 {
-			victim.Kill()
-			close(killed)
-		}
+	old := []byte("OLTPSNAP\x01\x00\x00\x00 a version-1 stream")
+	writeJobDir(t, dir, "job-000001", smokeSpec(), `{"state":"checkpointed","config":0,"checkpoints":1}`, nil, old)
+	s := newTestServer(t, testServerConfig(dir))
+	if got := waitTerminal(t, s, "job-000001"); got != StateDone {
+		j, _ := s.jobByID("job-000001")
+		t.Fatalf("job finished %q (%s), want done", got, j.status().Error)
 	}
-	s1, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	victim = s1
-	j := submitDirect(t, s1, withField)
-	if j.Spec.StepWorkers != 4 {
-		t.Fatalf("decoded step_workers = %d, want 4", j.Spec.StepWorkers)
-	}
-	s1.Start()
-	<-killed
-	s1.Close()
-	if st := j.status(); st.State.Terminal() {
-		t.Fatalf("job reached %q before the kill", st.State)
-	}
-	persisted, err := os.ReadFile(filepath.Join(s1.st.jobDir(j.ID), "spec.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(persisted, []byte(`"step_workers":4`)) {
-		t.Fatalf("persisted spec lost step_workers: %s", persisted)
-	}
-
-	s2 := newTestServer(t, testServerConfig(dir))
-	j2, ok := s2.jobByID(j.ID)
-	if !ok {
-		t.Fatalf("restart lost job %s", j.ID)
-	}
-	plain := submitDirect(t, s2, smokeSpec())
-	for _, id := range []string{j.ID, plain.ID} {
-		if got := waitTerminal(t, s2, id); got != StateDone {
-			t.Fatalf("job %s finished %q", id, got)
-		}
-	}
-	got, want := mustJSON(t, j2.status().Results), mustJSON(t, plain.status().Results)
-	if !bytes.Equal(got, want) {
-		t.Errorf("step_workers changed the results:\n with %s\n without %s", got, want)
+	j, _ := s.jobByID("job-000001")
+	if got := mustJSON(t, j.status().Results); !bytes.Equal(got, want) {
+		t.Error("job restarted from a discarded checkpoint diverges from an uninterrupted run")
 	}
 }

@@ -125,7 +125,7 @@ func New(cfg Config) (*Server, error) {
 		jobs: make(map[string]*Job),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	jobs, maxSeq, err := st.recoverJobs()
+	jobs, maxSeq, err := st.recoverJobs(cfg.Logf)
 	if err != nil {
 		return nil, err
 	}

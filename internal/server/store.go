@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 
 	"oltpsim/internal/atomicfile"
+	"oltpsim/internal/snapshot"
 	"oltpsim/internal/stats"
 )
 
@@ -112,8 +113,9 @@ func (st *store) removeCheckpoint(id string) error {
 // entries come back name-sorted from os.ReadDir, so recovery order — and
 // therefore the re-queue order of interrupted jobs — is the original
 // submission order. It returns the jobs plus the highest sequence number
-// seen, so new IDs continue after the recovered ones.
-func (st *store) recoverJobs() ([]*Job, uint64, error) {
+// seen, so new IDs continue after the recovered ones. logf receives one
+// line per job whose spec or checkpoint this build can no longer use.
+func (st *store) recoverJobs(logf func(string, ...any)) ([]*Job, uint64, error) {
 	entries, err := os.ReadDir(st.dir)
 	if err != nil {
 		return nil, 0, err
@@ -128,7 +130,7 @@ func (st *store) recoverJobs() ([]*Job, uint64, error) {
 		if _, err := fmt.Sscanf(e.Name(), "job-%06d", &seq); err != nil {
 			continue
 		}
-		j, err := st.readJob(e.Name())
+		j, err := st.readJob(e.Name(), logf)
 		if err != nil {
 			return nil, 0, fmt.Errorf("recovering %s: %w", e.Name(), err)
 		}
@@ -146,14 +148,24 @@ func (st *store) recoverJobs() ([]*Job, uint64, error) {
 // is attached only when the persisted state says it belongs to the next
 // configuration to run (a crash between "result durable" and "checkpoint
 // removed" leaves a stale checkpoint, which this guard discards).
-func (st *store) readJob(id string) (*Job, error) {
+//
+// Two things an older build persisted may no longer be usable; neither
+// keeps the server from starting. A spec the strict decoder now rejects (a
+// field removed from the wire format) leaves the job as history: a
+// terminal job keeps its state and results, an unfinished one becomes
+// failed, naming the decode error. A checkpoint written in another
+// snapshot format version is discarded like a stale one, so its
+// configuration reruns from the start — the results are the same, since a
+// run is a deterministic function of its spec.
+func (st *store) readJob(id string, logf func(string, ...any)) (*Job, error) {
 	specData, err := os.ReadFile(filepath.Join(st.jobDir(id), "spec.json"))
 	if err != nil {
 		return nil, err
 	}
-	spec, cfgs, err := DecodeJobSpec(bytes.NewReader(specData))
-	if err != nil {
-		return nil, fmt.Errorf("spec.json: %w", err)
+	spec, cfgs, specErr := DecodeJobSpec(bytes.NewReader(specData))
+	if specErr != nil {
+		// Best effort, for display only: without cfgs the job never runs.
+		_ = json.Unmarshal(specData, &spec)
 	}
 	stateData, err := os.ReadFile(filepath.Join(st.jobDir(id), "state.json"))
 	if err != nil {
@@ -186,10 +198,22 @@ func (st *store) readJob(id string) (*Job, error) {
 	default:
 		return nil, err
 	}
+	if specErr != nil {
+		logf("recovered %s: spec.json no longer decodes: %v", id, specErr)
+		if !j.state.Terminal() {
+			j.state, j.err = StateFailed, fmt.Sprintf("spec.json no longer decodes: %v", specErr)
+		}
+		return j, nil
+	}
 	if !ps.State.Terminal() {
 		ck, err := os.ReadFile(filepath.Join(st.jobDir(id), "checkpoint.bin"))
 		switch {
 		case err == nil && ps.Config == len(j.results):
+			if v, ok := snapshot.StreamVersion(ck); ok && v != snapshot.Version {
+				logf("recovered %s: discarding checkpoint in snapshot format version %d (this build reads %d); configuration %d restarts",
+					id, v, snapshot.Version, ps.Config)
+				break
+			}
 			j.resume = ck
 			j.resumeConfig = ps.Config
 		case err == nil || errors.Is(err, fs.ErrNotExist):

@@ -2,6 +2,12 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -29,6 +35,33 @@ func fuzzSeed() []byte {
 	return buf.Bytes()
 }
 
+// hugeSliceClaim returns a well-formed container whose one payload makes
+// drainSection read a U64s claiming 1<<40 elements from 8 remaining bytes:
+// the decoder must refuse it without allocating.
+func hugeSliceClaim() []byte {
+	w := NewWriter()
+	e := w.Section("huge")
+	e.U8(5) // drainSection's selector for U64s
+	e.U64(1 << 40)
+	var buf bytes.Buffer
+	if err := w.Emit(&buf); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// oversizedLength returns a container, correct CRC included, whose one
+// section header claims 1<<40 payload bytes with 8 left: parse must reject
+// the length before slicing.
+func oversizedLength() []byte {
+	b := binary.LittleEndian.AppendUint32([]byte(Magic), Version)
+	b = binary.LittleEndian.AppendUint16(b, 1)
+	b = append(b, 's')
+	b = binary.LittleEndian.AppendUint64(b, 1<<40)
+	b = binary.LittleEndian.AppendUint64(b, 7)
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
 // FuzzSnapshotDecode feeds arbitrary bytes through the full decode surface:
 // container parsing, section lookup, and every typed Decoder read. The
 // contract under fuzz is the package's core promise — corrupted, truncated,
@@ -45,6 +78,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 	flipped := append([]byte(nil), valid...)
 	flipped[len(flipped)/2] ^= 0x40 // CRC mismatch
 	f.Add(flipped)
+	f.Add(hugeSliceClaim())
+	f.Add(oversizedLength())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := parse(data)
 		if err != nil {
@@ -105,4 +140,68 @@ func drainSection(d *Decoder) {
 			_ = d.String()
 		}
 	}
+}
+
+// TestFuzzCorpusReachesItsCheck pins what each committed FuzzSnapshotDecode
+// corpus entry exercises. The entries are written at one format version; a
+// Version bump that leaves them behind would stop every one at the version
+// check, so each must fail (or parse) for its own reason, and the entries
+// the seeds also build must match them byte for byte.
+func TestFuzzCorpusReachesItsCheck(t *testing.T) {
+	valid := fuzzSeed()
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)/2] ^= 0x40
+	cases := []struct {
+		file string
+		want string // parse error substring, "" when the stream parses
+		seed []byte // the in-code seed it must equal, or nil
+	}{
+		{"valid", "", valid},
+		{"huge-slice-claim", "", hugeSliceClaim()},
+		{"oversized-length", "claims 1099511627776 bytes", oversizedLength()},
+		{"truncated", "CRC mismatch", valid[:len(valid)-5]},
+		{"crc-mismatch", "CRC mismatch", flipped},
+		{"bad-version", "version", nil},
+		{"empty", "too short", []byte{}},
+		{"magic-only", "too short", []byte(Magic)},
+	}
+	for _, c := range cases {
+		t.Run(c.file, func(t *testing.T) {
+			data := readCorpusEntry(t, c.file)
+			if c.seed != nil && !bytes.Equal(data, c.seed) {
+				t.Fatalf("corpus entry differs from its in-code seed")
+			}
+			_, err := parse(data)
+			switch {
+			case c.want == "" && err != nil:
+				t.Fatalf("parse: %v, want success", err)
+			case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+				t.Fatalf("parse error %v, want one containing %q", err, c.want)
+			}
+		})
+	}
+}
+
+// readCorpusEntry decodes a one-value []byte corpus file in the
+// "go test fuzz v1" format.
+func readCorpusEntry(t *testing.T, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzSnapshotDecode", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	if len(lines) != 2 || lines[0] != "go test fuzz v1" {
+		t.Fatalf("unexpected corpus layout in %s", name)
+	}
+	lit, ok := strings.CutPrefix(lines[1], "[]byte(")
+	lit, ok2 := strings.CutSuffix(lit, ")")
+	if !ok || !ok2 {
+		t.Fatalf("corpus entry %s is not a []byte value", name)
+	}
+	s, err := strconv.Unquote(lit)
+	if err != nil {
+		t.Fatalf("corpus entry %s: %v", name, err)
+	}
+	return []byte(s)
 }

@@ -35,7 +35,7 @@ const Magic = "OLTPSNAP"
 
 // Version is the current format version. Load refuses any other version:
 // state layout changes must bump it.
-const Version uint32 = 1
+const Version uint32 = 2
 
 // maxSectionName bounds section names; anything longer is corruption.
 const maxSectionName = 255
@@ -159,6 +159,17 @@ func NewReader(r io.Reader) (*Reader, error) {
 		return nil, fmt.Errorf("snapshot: reading stream: %w", err)
 	}
 	return parse(data)
+}
+
+// StreamVersion returns the format version in data's header, and whether
+// data starts with the snapshot magic at all. It checks nothing else: a
+// caller uses it to tell a stream from another format version apart from a
+// corrupt one before deciding what to do with it.
+func StreamVersion(data []byte) (uint32, bool) {
+	if len(data) < len(Magic)+4 || string(data[:len(Magic)]) != Magic {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint32(data[len(Magic):]), true
 }
 
 // parse is the allocation-bounded core of NewReader, shared with the fuzz
