@@ -10,7 +10,6 @@ import (
 
 	"oltpsim/internal/cache"
 	"oltpsim/internal/coherence"
-	"oltpsim/internal/dss"
 	"oltpsim/internal/experiments"
 	"oltpsim/internal/lint"
 	"oltpsim/internal/memref"
@@ -217,26 +216,6 @@ func BenchmarkAblationVictimBuffer(b *testing.B) {
 	b.ReportMetric(without/with, "victim-buffer-speedup")
 }
 
-// BenchmarkAblationContention turns on the queuing layer (banked memory
-// controllers + torus links) that the fixed Figure 3 latencies abstract away.
-func BenchmarkAblationContention(b *testing.B) {
-	o := benchOptions(b)
-	var flat, queued float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := FullIntegrationConfig(8, 2*MB, 8)
-		rFlat := o.Run(cfg)
-		flat = rFlat.CyclesPerTxn()
-		cfg.Contention = true
-		cfg.Name = "All +contention"
-		rQueued := o.Run(cfg)
-		queued = rQueued.CyclesPerTxn()
-	}
-	b.StopTimer()
-	b.Logf("\ncontention layer: flat %.0f, queued %.0f cycles/txn (+%.1f%%)", flat, queued, 100*(queued/flat-1))
-	b.ReportMetric(queued/flat, "contention-slowdown")
-}
-
 // BenchmarkAblationSharedL2Latency sweeps the integrated L2 hit latency to
 // show how strongly uniprocessor OLTP depends on it (the paper's Section 3
 // design argument).
@@ -258,80 +237,6 @@ func BenchmarkAblationL2HitLatency(b *testing.B) {
 	}
 	b.StopTimer()
 	b.Log(out)
-}
-
-// BenchmarkExtensionCMP explores the paper's stated next step ("chip
-// multiprocessing... should also be effective"): the same 8 cores arranged
-// as 8x1, 4x2, and 2x4 chips, each chip fully integrated with a shared 2 MB
-// 8-way L2. Cores sharing an L2 absorb intra-chip communication misses.
-func BenchmarkExtensionCMP(b *testing.B) {
-	o := benchOptions(b)
-	type row struct {
-		name   string
-		cyc    float64
-		remote float64
-	}
-	var rows []row
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows = rows[:0]
-		for _, perChip := range []int{1, 2, 4} {
-			cfg := FullIntegrationConfig(8, 2*MB, 8)
-			cfg.CoresPerChip = perChip
-			cfg.Name = fmt.Sprintf("%dx%d", 8/perChip, perChip)
-			res := o.Run(cfg)
-			rows = append(rows, row{cfg.Name,
-				res.CyclesPerTxn(),
-				float64(res.Miss.RemoteClean()+res.Miss.RemoteDirty()) / float64(res.Txns)})
-		}
-	}
-	b.StopTimer()
-	out := "\nCMP arrangements of 8 cores (chips x cores/chip):\n"
-	for _, r := range rows {
-		out += fmt.Sprintf("  %-4s %8.0f cycles/txn  %6.1f remote misses/txn\n", r.name, r.cyc, r.remote)
-	}
-	b.Log(out)
-	if len(rows) == 3 {
-		b.ReportMetric(rows[0].cyc/rows[1].cyc, "4x2-speedup")
-		b.ReportMetric(rows[0].cyc/rows[2].cyc, "2x4-speedup")
-	}
-}
-
-// BenchmarkExtensionDSS measures the paper's framing contrast: decision
-// support is "relatively insensitive to memory system performance" while
-// OLTP is not. Same machine ladder, scan queries instead of transactions.
-func BenchmarkExtensionDSS(b *testing.B) {
-	mkParams := func(cfg Config) dss.Params {
-		var p dss.Params
-		if testing.Short() {
-			p = dss.TestParams(cfg.Processors)
-		} else {
-			p = dss.DefaultParams(cfg.Processors)
-		}
-		p.CoresPerChip = cfg.CoresPerChip
-		return p
-	}
-	run := func(cfg Config) Result {
-		sys := MustNewSystem(cfg, dss.MustNewHarness(mkParams(cfg)))
-		units := uint64(400)
-		if testing.Short() {
-			units = 150
-		}
-		return sys.Run(units/4, units)
-	}
-	var base, full Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		base = run(BaseConfig(8, 8*MB, 1))
-		full = run(FullIntegrationConfig(8, 2*MB, 8))
-	}
-	b.StopTimer()
-	gain := base.CyclesPerTxn() / full.CyclesPerTxn()
-	b.Logf("\nDSS scan workload, 8 CPUs: Base %.0f -> Full %.0f cycles/unit (%.2fx; OLTP gets ~1.35x)\n"+
-		"DSS 3-hop misses: %d of %d total (OLTP: the majority)",
-		base.CyclesPerTxn(), full.CyclesPerTxn(), gain,
-		full.Miss.RemoteDirty(), full.Miss.Total())
-	b.ReportMetric(gain, "dss-integration-speedup")
 }
 
 // BenchmarkExtensionScaling sweeps the machine size for Base and Full
@@ -451,40 +356,6 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	stepRefs(sys, uint64(b.N))
-}
-
-// BenchmarkStepScaling measures per-reference stepping cost as the machine
-// widens from the paper's 8 nodes to 128. With the indexed min-heap event
-// queue, earliest-core selection costs O(log P) instead of the former O(P)
-// scan, so ns/op (ns per retired reference) should grow far slower than
-// node count; cmd/benchdiff tracks the large shapes to keep that
-// sub-linear.
-func BenchmarkStepScaling(b *testing.B) {
-	for _, procs := range []int{8, 32, 64, 128} {
-		b.Run(fmt.Sprintf("nodes=%d", procs), func(b *testing.B) {
-			o := experiments.QuickOptions()
-			cfg := BaseConfig(procs, 8*MB, 1)
-			h := oltp.MustNewHarness(o.Params(cfg))
-			sys := MustNewSystem(cfg, h)
-			b.ReportAllocs()
-			b.ResetTimer()
-			stepRefs(sys, uint64(b.N))
-		})
-	}
-}
-
-// BenchmarkStep64Serial times a whole warm+measure run of the 64-node full
-// configuration: the large-machine guard on the run loop and the event
-// heap, at eight times the paper's largest machine.
-func BenchmarkStep64Serial(b *testing.B) {
-	o := experiments.QuickOptions()
-	o.WarmupTxns, o.MeasureTxns = 200, 400
-	o.Results = nil
-	cfg := FullIntegrationConfig(64, 2*MB, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = o.Run(cfg)
-	}
 }
 
 // BenchmarkJobThroughput measures one job's end-to-end trip through the

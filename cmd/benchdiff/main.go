@@ -90,21 +90,15 @@ func main() {
 	}
 
 	// Each guarded benchmark carries its own iteration budget:
-	// RunnerSerial and Step64Serial regenerate a whole run per iteration
-	// (1x is already seconds of simulation); SimulationThroughput and
-	// StepScaling time single Step calls and need enough iterations that
-	// setup cost amortizes away, which is also what drives their allocs/op
-	// to the steady-state zero. StepScaling's sub-benchmarks (8 to 128
-	// nodes) are the scaling guard: each is recorded under its full
-	// "BenchmarkStepScaling/nodes=N" name, so a super-linear per-ref
-	// slowdown at large N shows up as a plain time regression at that N.
-	// Oltpvet re-analyzes the whole module per iteration (seconds of
-	// type-checking), so like the runner benchmarks it runs at 1x.
+	// RunnerSerial regenerates a whole sweep per iteration (1x is already
+	// seconds of simulation); SimulationThroughput times single Step calls
+	// and needs enough iterations that setup cost amortizes away, which is
+	// also what drives its allocs/op to the steady-state zero. Oltpvet
+	// re-analyzes the whole module per iteration (seconds of
+	// type-checking), so like the runner benchmark it runs at 1x.
 	specs := []benchSpec{
 		{"^BenchmarkRunnerSerial$", "1x"},
 		{"^BenchmarkSimulationThroughput$", "2000000x"},
-		{"^BenchmarkStepScaling$", "1000000x"},
-		{"^BenchmarkStep64Serial$", "1x"},
 		{"^BenchmarkJobThroughput$", "1x"},
 		{"^BenchmarkOltpvet$", "1x"},
 	}

@@ -19,6 +19,7 @@ import (
 
 	"oltpsim/internal/atomicfile"
 	"oltpsim/internal/cli"
+	"oltpsim/internal/coherence"
 	"oltpsim/internal/core"
 	"oltpsim/internal/experiments"
 	"oltpsim/internal/prof"
@@ -39,7 +40,7 @@ func main() {
 		scenFile   = flag.String("scenario", "", "run a time-varying workload profile from this JSON file instead of the fixed mix (-txns is ignored; phases are segmented in the output)")
 		timeline   = flag.String("timeline", "", "with -scenario, write the per-phase timeline to this file (.json for JSON, anything else CSV)")
 	)
-	flag.IntVar(&spec.Procs, "procs", 1, "processor count (1 or 8 in the paper)")
+	flag.IntVar(&spec.Procs, "procs", 1, fmt.Sprintf("processor count, 1..%d (1 or 8 in the paper)", coherence.MaxNodes))
 	flag.StringVar(&spec.Level, "level", "base", "integration level: cons|base|l2|l2mc|full")
 	flag.StringVar(&spec.L2, "l2", "8M", "L2 size (e.g. 1M, 1.25M, 2M, 8M)")
 	flag.IntVar(&spec.Assoc, "assoc", 1, "L2 associativity")

@@ -14,50 +14,27 @@ package coherence
 
 import (
 	"fmt"
+	"math/bits"
 
 	"oltpsim/internal/cache"
 )
 
-// MaxNodes bounds the sharer bit-vector. The paper's multiprocessor has 8
-// nodes; we allow up to 128 so scaling experiments are possible.
-const MaxNodes = 128
+// MaxNodes bounds the machine size. The paper's multiprocessor has 8 nodes;
+// the largest shape anything runs is 16 (BenchmarkExtensionScaling).
+const MaxNodes = 16
 
-// sharerWords is the number of 64-bit words in a sharer set.
-const sharerWords = MaxNodes / 64
+// sharerSet is a bit-vector with one bit per node. The constant below does
+// not compile if MaxNodes outgrows it.
+type sharerSet uint16
 
-// sharerSet is a fixed-width bit-vector with one bit per node. It is a
-// comparable value type, so whole-set equality tests (`s == only(node)`)
-// keep working across the word boundary.
-type sharerSet [sharerWords]uint64
+const _ = sharerSet(1 << (MaxNodes - 1))
 
-func only(node int) sharerSet {
-	var s sharerSet
-	s.add(node)
-	return s
-}
+func only(node int) sharerSet { return 1 << uint(node) }
 
-func (s *sharerSet) add(node int)     { s[node>>6] |= 1 << uint(node&63) }
-func (s *sharerSet) remove(node int)  { s[node>>6] &^= 1 << uint(node&63) }
-func (s sharerSet) has(node int) bool { return s[node>>6]&(1<<uint(node&63)) != 0 }
-
-func (s sharerSet) empty() bool {
-	for _, w := range s {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// beyond reports whether any bit at position >= nodes is set.
-func (s sharerSet) beyond(nodes int) bool {
-	for i := nodes; i < MaxNodes; i++ {
-		if s.has(i) {
-			return true
-		}
-	}
-	return false
-}
+func (s *sharerSet) add(node int)     { *s |= only(node) }
+func (s *sharerSet) remove(node int)  { *s &^= only(node) }
+func (s sharerSet) has(node int) bool { return s&only(node) != 0 }
+func (s sharerSet) empty() bool       { return s == 0 }
 
 // Category classifies where a memory transaction was serviced from, which
 // determines both its latency (core.LatencyTable) and its statistics bucket.
@@ -313,11 +290,11 @@ func (d *Directory) Write(line uint64, node int) Result {
 		// Shared: invalidate every other sharer; if the requester was among
 		// the sharers this is a pure upgrade (permission only, no data).
 		res.Upgrade = e.sharers.has(node)
-		for n := 0; n < d.nodes; n++ {
-			if n != node && e.sharers.has(n) {
-				d.peers.InvalidatePeer(n, line)
-				res.Invalidations++
-			}
+		// Lowest node first, so peers see invalidations in ascending
+		// node order.
+		for others := e.sharers &^ only(node); others != 0; others &= others - 1 {
+			d.peers.InvalidatePeer(bits.TrailingZeros16(uint16(others)), line)
+			res.Invalidations++
 		}
 		res.Cat = categoryFromHome(homeNode, node)
 	default:
@@ -390,14 +367,7 @@ func (d *Directory) MoveToL2(line uint64, node int) {
 
 // SharerCount returns how many nodes hold line (for tests and invariants).
 func (d *Directory) SharerCount(line uint64) int {
-	e := d.entries.get(line)
-	n := 0
-	for i := 0; i < d.nodes; i++ {
-		if e.sharers.has(i) {
-			n++
-		}
-	}
-	return n
+	return bits.OnesCount16(uint16(d.entries.get(line).sharers))
 }
 
 // OwnerOf returns the owning node and whether its copy is dirty; owner is -1

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -17,6 +18,7 @@ type fakePeers struct {
 	state map[uint64][]cache.State // line -> per-node state
 
 	invalidations int
+	invalidated   []int // nodes InvalidatePeer reached, in call order
 	downgrades    int
 }
 
@@ -38,6 +40,7 @@ func (f *fakePeers) set(line uint64, node int, st cache.State) { f.of(line)[node
 
 func (f *fakePeers) InvalidatePeer(node int, line uint64) bool {
 	f.invalidations++
+	f.invalidated = append(f.invalidated, node)
 	s := f.of(line)
 	dirty := s[node] == cache.Modified
 	s[node] = cache.Invalid
@@ -382,11 +385,11 @@ func TestProtocolInvariants(t *testing.T) {
 	}
 }
 
-// TestWideMachineCrossesWordBoundary drives a 128-node directory so sharer
-// bookkeeping exercises both words of the sharer set: every node reads one
-// line (127 sharers past the first word), then one write must invalidate all
-// 127 other copies, and a snapshot of the wide state must round-trip.
-func TestWideMachineCrossesWordBoundary(t *testing.T) {
+// TestAllNodesShareOneLine drives the widest directory: every one of
+// MaxNodes nodes reads one line, a snapshot of that state round-trips, and
+// one write then invalidates the other MaxNodes-1 copies in ascending node
+// order.
+func TestAllNodesShareOneLine(t *testing.T) {
 	d, p := setup(MaxNodes)
 	line := uint64(64) // home = node 1
 
@@ -401,15 +404,46 @@ func TestWideMachineCrossesWordBoundary(t *testing.T) {
 	if got := d.SharerCount(line); got != MaxNodes {
 		t.Fatalf("SharerCount = %d, want %d", got, MaxNodes)
 	}
-	for _, n := range []int{0, 63, 64, MaxNodes - 1} {
-		if !d.IsSharer(line, n) {
-			t.Fatalf("node %d not recorded as sharer", n)
-		}
+
+	d2, _ := setup(MaxNodes)
+	if err := d2.LoadState(encodeDirectory(t, d.SaveState)); err != nil {
+		t.Fatal(err)
+	}
+	if got := d2.SharerCount(line); got != MaxNodes {
+		t.Fatalf("restored SharerCount = %d, want %d", got, MaxNodes)
+	}
+	if !d2.IsSharer(line, MaxNodes-1) {
+		t.Fatal("restored directory lost the top sharer bit")
 	}
 
-	// Snapshot round-trip with bits set in the high sharer word.
+	p.invalidated = nil
+	res := d.Write(line, MaxNodes-1)
+	apply(p, line, MaxNodes-1, res)
+	if res.Invalidations != MaxNodes-1 {
+		t.Fatalf("write invalidations = %d, want %d", res.Invalidations, MaxNodes-1)
+	}
+	for i, n := range p.invalidated {
+		if n != i {
+			t.Fatalf("invalidation order %v, want nodes 0..%d ascending", p.invalidated, MaxNodes-2)
+		}
+	}
+	if !res.Upgrade {
+		t.Fatal("writer held a shared copy; expected an upgrade")
+	}
+	if owner, dirty := d.OwnerOf(line); owner != MaxNodes-1 || !dirty {
+		t.Fatalf("owner = %d dirty %v after wide write", owner, dirty)
+	}
+	if got := d.SharerCount(line); got != 1 {
+		t.Fatalf("SharerCount after write = %d, want 1", got)
+	}
+}
+
+// encodeDirectory writes a "directory" section with save and returns a
+// decoder over it.
+func encodeDirectory(t *testing.T, save func(*snapshot.Encoder)) *snapshot.Decoder {
+	t.Helper()
 	w := snapshot.NewWriter()
-	d.SaveState(w.Section("directory"))
+	save(w.Section("directory"))
 	var buf bytes.Buffer
 	if err := w.Emit(&buf); err != nil {
 		t.Fatal(err)
@@ -422,29 +456,50 @@ func TestWideMachineCrossesWordBoundary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, _ := setup(MaxNodes)
-	if err := d2.LoadState(dec); err != nil {
-		t.Fatal(err)
-	}
-	if got := d2.SharerCount(line); got != MaxNodes {
-		t.Fatalf("restored SharerCount = %d, want %d", got, MaxNodes)
-	}
-	if !d2.IsSharer(line, MaxNodes-1) {
-		t.Fatal("restored directory lost the high-word sharer bit")
-	}
+	return dec
+}
 
-	res := d.Write(line, MaxNodes-1)
-	apply(p, line, MaxNodes-1, res)
-	if res.Invalidations != MaxNodes-1 {
-		t.Fatalf("write invalidations = %d, want %d", res.Invalidations, MaxNodes-1)
-	}
-	if !res.Upgrade {
-		t.Fatal("writer held a shared copy; expected an upgrade")
-	}
-	if owner, dirty := d.OwnerOf(line); owner != MaxNodes-1 || !dirty {
-		t.Fatalf("owner = %d dirty %v after wide write", owner, dirty)
-	}
-	if got := d.SharerCount(line); got != 1 {
-		t.Fatalf("SharerCount after write = %d, want 1", got)
+// TestLoadStateRejectsOutOfRangeEntries feeds LoadState one hand-encoded
+// entry per row. A sharer bit or owner beyond the machine must be rejected
+// from the decoded word, before it is narrowed to the entry's width.
+func TestLoadStateRejectsOutOfRangeEntries(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		nodes   int
+		sharers uint64
+		owner   int64
+		wantErr string // "" = loads
+	}{
+		{"top node sharer and owner", MaxNodes, 1 << (MaxNodes - 1), MaxNodes, ""},
+		{"sharer bit at nodes", 8, 1 << 8, 0, "sharer bits beyond 8 nodes"},
+		{"sharer bit 16", MaxNodes, 1<<16 | 1, 0, "sharer bits beyond 16 nodes"},
+		{"owner above nodes", 8, 1, 9, "owner 9 out of range"},
+		{"owner wraps int16", MaxNodes, 1, 1<<16 | 1, "owner 65537 out of range"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dec := encodeDirectory(t, func(e *snapshot.Encoder) {
+				e.Int(1024) // table size
+				e.Int(1)    // live entries
+				e.U64(64<<1 | 1)
+				e.U64(tc.sharers)
+				e.I64(tc.owner)
+				e.Bool(false) // dirty
+				e.Bool(false) // inRAC
+				var st Stats
+				e.U64s(st.Reads[:])
+				e.U64s(st.Writes[:])
+				for i := 0; i < 6; i++ {
+					e.U64(0)
+				}
+			})
+			d, _ := setup(tc.nodes)
+			err := d.LoadState(dec)
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("LoadState: %v", err)
+			case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+				t.Fatalf("LoadState error = %v, want one naming %q", err, tc.wantErr)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"testing"
+	"unsafe"
 
 	"oltpsim/internal/sim"
 )
@@ -23,7 +24,7 @@ func TestLineTableDifferential(t *testing.T) {
 		line := key()
 		switch rng.Intn(4) {
 		case 0: // insert/update through ref()
-			e := entry{sharers: sharerSet{rng.Uint64(), rng.Uint64()}, owner: int16(rng.Intn(8) + 1)}
+			e := entry{sharers: sharerSet(rng.Uint64()), owner: int16(rng.Intn(8) + 1)}
 			*tab.ref(line) = e
 			ref[line] = e
 		case 1: // delete
@@ -70,5 +71,13 @@ func TestLineTableZeroLine(t *testing.T) {
 	tab.del(0)
 	if tab.find(0) != nil || tab.live != 0 {
 		t.Fatal("line 0 survived deletion")
+	}
+}
+
+// TestEntryIsSixBytes pins the directory entry's footprint: a 16-bit sharer
+// set, a 16-bit owner and two flags.
+func TestEntryIsSixBytes(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got != 6 {
+		t.Fatalf("sizeof(entry) = %d bytes, want 6", got)
 	}
 }

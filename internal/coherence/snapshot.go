@@ -31,9 +31,7 @@ func (d *Directory) SaveState(e *snapshot.Encoder) {
 	e.Int(len(pairs))
 	for _, p := range pairs {
 		e.U64(p.key)
-		for _, w := range p.ent.sharers {
-			e.U64(w)
-		}
+		e.U64(uint64(p.ent.sharers))
 		e.I64(int64(p.ent.owner))
 		e.Bool(p.ent.dirty)
 		e.Bool(p.ent.inRAC)
@@ -67,13 +65,11 @@ func (d *Directory) LoadState(dec *snapshot.Decoder) error {
 	var prevKey uint64
 	for i := 0; i < live; i++ {
 		key := dec.U64()
-		var sh sharerSet
-		for w := range sh {
-			sh[w] = dec.U64()
-		}
+		sharers := dec.U64()
+		owner := dec.I64()
 		ent := entry{
-			sharers: sh,
-			owner:   int16(dec.I64()),
+			sharers: sharerSet(sharers),
+			owner:   int16(owner),
 			dirty:   dec.Bool(),
 			inRAC:   dec.Bool(),
 		}
@@ -87,10 +83,12 @@ func (d *Directory) LoadState(dec *snapshot.Decoder) error {
 			return fmt.Errorf("coherence: entry %d key %#x not in ascending order", i, key)
 		}
 		prevKey = key
-		if int(ent.owner) < 0 || int(ent.owner) > d.nodes {
-			return fmt.Errorf("coherence: entry %d owner %d out of range 0..%d", i, ent.owner, d.nodes)
+		// Both range checks read the decoded words, before the narrowing
+		// above could drop high bits.
+		if owner < 0 || owner > int64(d.nodes) {
+			return fmt.Errorf("coherence: entry %d owner %d out of range 0..%d", i, owner, d.nodes)
 		}
-		if ent.sharers.beyond(d.nodes) {
+		if sharers>>uint(d.nodes) != 0 {
 			return fmt.Errorf("coherence: entry %d sharer bits beyond %d nodes", i, d.nodes)
 		}
 		if ent.sharers.empty() && !ent.hasOwner() {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"oltpsim/internal/cache"
-	"oltpsim/internal/mem"
 	"oltpsim/internal/memref"
 	"oltpsim/internal/oltp"
 )
@@ -135,32 +134,5 @@ func TestCMPEndToEnd(t *testing.T) {
 	if remoteCMP >= remoteSMP {
 		t.Fatalf("CMP remote misses/txn %.1f not below SMP %.1f (shared L2 should absorb intra-chip sharing)",
 			remoteCMP, remoteSMP)
-	}
-}
-
-// TestCMPContentionUsesRequestingCoreClock: on a chip with two cores, a
-// miss is queued at the memory controller at the missing core's own clock.
-// Core 0 misses first at time 0 and then runs a thousand instructions
-// ahead; core 1 then misses at its clock 0 on the same bank, so it must
-// queue behind core 0's bank occupancy. Issued at core 0's clock instead,
-// the bank would look long free and the queueing would vanish.
-func TestCMPContentionUsesRequestingCoreClock(t *testing.T) {
-	cfg := cmpCfg(2, 2) // one chip, two cores
-	cfg.Contention = true
-	src := newScript(2)
-	src.add(0, memref.Ref{Addr: 0, Kind: memref.IFetch, Instrs: 1000})
-	// 16 banks, line-interleaved: 16 lines on is the same bank.
-	src.add(1, memref.Ref{Addr: 16 * memref.LineBytes, Kind: memref.Load})
-	sys := runScript(t, cfg, src)
-
-	busy := uint64(mem.DefaultConfig().BankBusyCycles)
-	if q := sys.mcs[0].Stats.QueueCycles; q != busy {
-		t.Fatalf("memory queueing = %d cycles, want %d (core 1 queued behind core 0's access)", q, busy)
-	}
-	if got, want := sys.Model(1).Now(), uint64(sys.Latency().Local)+busy; got != want {
-		t.Fatalf("core 1 clock = %d, want local latency + queueing = %d", got, want)
-	}
-	if c0 := sys.Model(0).Now(); c0 <= sys.Model(1).Now() {
-		t.Fatalf("core 0 clock %d not ahead of core 1's %d; the test needs the clocks to differ", c0, sys.Model(1).Now())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"oltpsim/internal/cache"
+	"oltpsim/internal/coherence"
 )
 
 // KB and MB are sizes in bytes.
@@ -48,12 +49,12 @@ type Config struct {
 	// Name labels the configuration in reports ("Base", "2M8w", ...).
 	Name string
 	// Processors is the number of CPU cores in the machine (1 or 8 in the
-	// paper, one per chip).
+	// paper, one per chip; at most coherence.MaxNodes).
 	Processors int
 	// CoresPerChip groups cores onto chips sharing one L2/RAC/home node
 	// (0 or 1 = the paper's one-core chips). Values above 1 model the chip
-	// multiprocessing the paper's conclusion proposes as the next step; the
-	// CMP extension benchmark uses it.
+	// multiprocessing the paper's conclusion proposes as the next step;
+	// examples/cmp_future uses it.
 	CoresPerChip int
 	// Level is the integration level under study.
 	Level IntegrationLevel
@@ -82,11 +83,6 @@ type Config struct {
 	// (ablation: every dirty read miss then downgrades to shared and the
 	// following write pays an upgrade).
 	NoMigratory bool
-	// Contention enables the queuing layer (banked memory controllers and
-	// torus link occupancy) on top of the base latencies. The paper-fidelity
-	// configurations leave it off — Figure 3 is end-to-end — so this is an
-	// ablation knob.
-	Contention bool
 	// VictimBuffers enables the 21364-style L2 victim buffer with the given
 	// entry count (0 = disabled; Figure 3 latencies already assume the
 	// production arrangement, so this is an ablation knob).
@@ -116,8 +112,8 @@ func (c Config) L2CacheConfig() cache.Config {
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
-	if c.Processors <= 0 || c.Processors > 128 {
-		return fmt.Errorf("core: %d processors out of range", c.Processors)
+	if c.Processors <= 0 || c.Processors > coherence.MaxNodes {
+		return fmt.Errorf("core: %d processors out of range 1..%d", c.Processors, coherence.MaxNodes)
 	}
 	if c.CoresPerChip < 0 || (c.CoresPerChip > 1 && c.Processors%c.CoresPerChip != 0) {
 		return fmt.Errorf("core: %d cores do not divide into chips of %d", c.Processors, c.CoresPerChip)

@@ -23,9 +23,9 @@ import (
 // serial engine would have dispatched this core for every one of those
 // references anyway, so the executed sequence IS the serial sequence. An
 // L1 miss inside the run changes memory-system state (caches, directory,
-// victim buffer, RAC, contention queues) and this core's clock, and nothing
-// else: no other core's heap key moves, and no scheduler state changes,
-// because wakes happen only in segment drains and runs contain no drains.
+// victim buffer, RAC) and this core's clock, and nothing else: no other
+// core's heap key moves, and no scheduler state changes, because wakes
+// happen only in segment drains and runs contain no drains.
 // So the bound and the preemption inputs stay valid across misses, and the
 // loop re-reads the core clock after each one and keeps going. The run
 // stops only at a scheduler event (end of the pending switch or segment
@@ -37,12 +37,13 @@ import (
 // In-order cores batch their guaranteed L1 hits: one AccountRun call adds
 // the batch's instruction totals (zero-latency data hits contribute
 // nothing, exactly as Account would) and node kind counters are added once
-// per batch. A miss flushes the batch first — the contention model reads
-// the core clock — and is then finished inline through accessBeyondL1 and
-// Account. Out-of-order cores account every reference through the model,
-// unbatched. Cache state is updated per reference through the same
-// Access/SetState calls per-reference stepping makes, so LRU order and hit
-// counters are bit-identical.
+// per batch. A miss flushes the batch first, so that the model's clock,
+// which the loop re-reads after the miss, includes the batched hits; the
+// miss is then finished inline through accessBeyondL1 and Account.
+// Out-of-order cores account every reference through the model, unbatched.
+// Cache state is updated per reference through the same Access/SetState
+// calls per-reference stepping makes, so LRU order and hit counters are
+// bit-identical.
 
 // maxRunRefs caps the references one run may serve, so a single Step stays
 // a bounded unit of work for RunUntil's deadlock guard.
@@ -186,11 +187,11 @@ scan:
 				// Shared or Invalid: the store needs the L2 or the
 				// directory.
 			}
-			// The miss reaches the lower levels, whose contention model
-			// reads the core clock: land the batch (this reference's kind
-			// count included) first, exactly where per-reference stepping
-			// would have left the clock. The L1 lookup already happened
-			// above, so the reference resumes below it.
+			// The miss reaches the lower levels. Land the batch (this
+			// reference's kind count included) first, so the clock re-read
+			// below starts exactly where per-reference stepping would have
+			// left it. The L1 lookup already happened above, so the
+			// reference resumes below it.
 			misses++
 			b.flush(m, nd)
 			lat, cat := s.accessBeyondL1(nd, co, l1, line, r.Kind == memref.IFetch, r.Kind == memref.Store)

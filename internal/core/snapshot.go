@@ -48,7 +48,7 @@ func (s *System) Save(out io.Writer) error {
 }
 
 // SaveTo writes the complete machine state — caches, directory, CPU
-// models, contention layer, counters, and the workload — as the sections
+// models, counters, and the workload — as the sections
 // of w. A container that carries the machine nests it with Writer.Nest, so
 // the machine is encoded straight into the container's buffer. A system
 // with a miss classifier cannot be saved (the classifier's unbounded
@@ -91,14 +91,6 @@ func (s *System) SaveTo(w *snapshot.Writer) error {
 	}
 
 	s.dir.SaveState(w.Section("directory"))
-
-	if s.net != nil || s.mcs != nil {
-		e := w.Section("contention")
-		s.net.SaveState(e)
-		for _, mc := range s.mcs {
-			mc.SaveState(e)
-		}
-	}
 
 	ws.SaveState(w.Section("workload"))
 	return nil
@@ -199,24 +191,6 @@ func (s *System) Load(in io.Reader) error {
 	}
 	if err := d.Finish(); err != nil {
 		return err
-	}
-
-	if s.net != nil || s.mcs != nil {
-		d, err = r.Section("contention")
-		if err != nil {
-			return err
-		}
-		if err := s.net.LoadState(d); err != nil {
-			return err
-		}
-		for _, mc := range s.mcs {
-			if err := mc.LoadState(d); err != nil {
-				return err
-			}
-		}
-		if err := d.Finish(); err != nil {
-			return err
-		}
 	}
 
 	d, err = r.Section("workload")

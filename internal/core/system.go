@@ -7,9 +7,7 @@ import (
 	"oltpsim/internal/coherence"
 	"oltpsim/internal/cpu"
 	"oltpsim/internal/kernel"
-	"oltpsim/internal/mem"
 	"oltpsim/internal/memref"
-	"oltpsim/internal/noc"
 	"oltpsim/internal/rac"
 	"oltpsim/internal/stats"
 )
@@ -86,9 +84,8 @@ type node struct {
 }
 
 // System is the assembled machine: chips with cache hierarchies, a
-// directory protocol, the latency model implied by the integration level,
-// and (optionally) contention models for the memory controllers and
-// network.
+// directory protocol, and the latency model implied by the integration
+// level.
 type System struct {
 	cfg   Config
 	lat   LatencyTable
@@ -128,10 +125,6 @@ type System struct {
 	// load instead of a switch.
 	latByCat   [4]uint32
 	stallByCat [4]cpu.StallCat
-
-	// Contention layer (nil unless cfg.Contention).
-	mcs []*mem.Controller
-	net *noc.Network
 
 	classifier *cache.Classifier // only when cfg.Classify
 
@@ -216,12 +209,6 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 		coherence.CatRemoteClean:    cpu.CatRemote,
 		coherence.CatRemoteDirty:    cpu.CatRemoteDirty,
 		coherence.CatRemoteDirtyRAC: cpu.CatRemoteDirty,
-	}
-	if cfg.Contention {
-		s.net = noc.New(noc.DefaultConfig(chips))
-		for i := 0; i < chips; i++ {
-			s.mcs = append(s.mcs, mem.NewController(mem.DefaultConfig()))
-		}
 	}
 	if cfg.Classify {
 		s.classifier = cache.NewClassifier(int(cfg.L2SizeBytes / 64))
@@ -374,8 +361,8 @@ func (s *System) FastForwarded() uint64 { return s.ffSteps }
 func (s *System) Step() bool {
 	// The event queue keeps the earliest core at the heap root; selection is
 	// O(1) and the post-step reorder is one sift-down over the live cores
-	// only. The clock mirror keeps the ^0 done sentinel for snapshots and
-	// contention bookkeeping, but done cores leave the heap entirely.
+	// only. The clock mirror keeps the ^0 done sentinel for snapshots, but
+	// done cores leave the heap entirely.
 	if len(s.heap) == 0 {
 		return false
 	}
@@ -435,7 +422,7 @@ func (s *System) Step() bool {
 // order of 10⁴ references per transaction per busy core (plus
 // idleRecheck-paced naps on waiting cores), so a two-million-reference
 // allowance is two orders of magnitude of headroom — far beyond any latency
-// or contention sweep, yet tight enough that a genuinely wedged scheduler
+// sweep, yet tight enough that a genuinely wedged scheduler
 // dies in milliseconds of wall time instead of minutes.
 const refBudgetPerTxn = 2_000_000
 
@@ -521,12 +508,6 @@ func (s *System) ResetStats() {
 	}
 	s.dir.ResetStats()
 	s.writeInvalOps = 0
-	if s.net != nil {
-		s.net.ResetStats()
-	}
-	for _, mc := range s.mcs {
-		mc.ResetStats()
-	}
 }
 
 // Collect summarizes the stats accumulated since the last ResetStats.
@@ -709,7 +690,7 @@ func (s *System) accessBeyondL1(n *node, co *coreCtx, l1 *cache.Cache, line uint
 			} else {
 				n.racHitD++
 			}
-			return s.contended(s.lat.RACHit, co, n.id, line), cpu.CatLocal
+			return s.lat.RACHit, cpu.CatLocal
 		}
 	}
 
@@ -726,7 +707,7 @@ func (s *System) accessBeyondL1(n *node, co *coreCtx, l1 *cache.Cache, line uint
 	s.insertL2(n, line, res.Grant)
 	s.fillL1(n, l1, line, l1FillState(res.Grant, ifetch))
 	n.miss.Count(ifetch, res.Cat)
-	return s.contended(s.latFor(res.Cat), co, s.dir.Home(line), line), s.stallFor(res.Cat)
+	return s.latFor(res.Cat), s.stallFor(res.Cat)
 }
 
 // siblingShare demotes other cores' exclusive L1 copies of line when a core
@@ -769,26 +750,6 @@ func (s *System) siblingInvalidate(n *node, co *coreCtx, line uint64) {
 		other.l1d.Invalidate(line)
 		other.l1i.Invalidate(line)
 	}
-}
-
-// contended adds queuing delay from the contention layer, when enabled. The
-// request is issued at the clock of core co, the one that missed: on a CMP
-// chip the sibling cores' clocks differ from it.
-func (s *System) contended(base uint32, co *coreCtx, home int, line uint64) uint32 {
-	if s.mcs == nil {
-		return base
-	}
-	// Read the model, not the clock mirror: the mirror holds the done
-	// sentinel once a core's workload is exhausted, and the run loop has
-	// flushed its batched accounting into the model before any miss.
-	requester := co.chip.id
-	at := co.model.Now()
-	extra := s.mcs[home].Access(line, at)
-	if s.net != nil && requester != home {
-		_, q := s.net.Send(requester, home, at)
-		extra += q
-	}
-	return base + extra
 }
 
 // insertL2 installs line in chip n's L2 and unwinds the eviction cascade:

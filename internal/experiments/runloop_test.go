@@ -36,7 +36,7 @@ const identityCommits = 40
 // TestRunLoopStateAtEveryCommit steps every invariant machine shape twice —
 // with the run loop (the default) and per reference (NoFastForward) — one
 // commit at a time, and compares the complete saved machine state after
-// each RunUntil(k): caches, directory, timing models, contention queues,
+// each RunUntil(k): caches, directory, timing models,
 // counters and the workload. Equal final results could hide a divergence
 // that later reconverges; equal state at every commit boundary cannot.
 func TestRunLoopStateAtEveryCommit(t *testing.T) {

@@ -51,7 +51,11 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, cfgs, err := DecodeJobSpec(r.Body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
+		status := http.StatusBadRequest
+		if errors.As(err, new(invalidSpecError)) {
+			status = http.StatusUnprocessableEntity
+		}
+		writeError(w, status, err.Error())
 		return
 	}
 	j, err := s.submit(spec, cfgs)

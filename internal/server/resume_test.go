@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"oltpsim/internal/snapshot"
 )
 
 // submitDirect hands a spec straight to the queue (the resume tests pin
@@ -452,7 +455,7 @@ func TestRestartWithUndecodableSpec(t *testing.T) {
 }
 
 // TestRestartDiscardsOtherVersionCheckpoint: an in-flight job whose
-// checkpoint was written in another snapshot format version restarts that
+// checkpoint was written in an older snapshot format version restarts that
 // configuration from scratch and finishes with the results of an
 // uninterrupted run, instead of failing on the version check.
 func TestRestartDiscardsOtherVersionCheckpoint(t *testing.T) {
@@ -464,16 +467,21 @@ func TestRestartDiscardsOtherVersionCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := mustJSON(t, smokeOptions().RunMany(cfgs))
-	dir := t.TempDir()
-	old := []byte("OLTPSNAP\x01\x00\x00\x00 a version-1 stream")
-	writeJobDir(t, dir, "job-000001", smokeSpec(), `{"state":"checkpointed","config":0,"checkpoints":1}`, nil, old)
-	s := newTestServer(t, testServerConfig(dir))
-	if got := waitTerminal(t, s, "job-000001"); got != StateDone {
-		j, _ := s.jobByID("job-000001")
-		t.Fatalf("job finished %q (%s), want done", got, j.status().Error)
-	}
-	j, _ := s.jobByID("job-000001")
-	if got := mustJSON(t, j.status().Results); !bytes.Equal(got, want) {
-		t.Error("job restarted from a discarded checkpoint diverges from an uninterrupted run")
+	for v := uint32(1); v < snapshot.Version; v++ {
+		t.Run(fmt.Sprintf("version %d", v), func(t *testing.T) {
+			dir := t.TempDir()
+			old := binary.LittleEndian.AppendUint32([]byte(snapshot.Magic), v)
+			old = append(old, " an old-format stream"...)
+			writeJobDir(t, dir, "job-000001", smokeSpec(), `{"state":"checkpointed","config":0,"checkpoints":1}`, nil, old)
+			s := newTestServer(t, testServerConfig(dir))
+			if got := waitTerminal(t, s, "job-000001"); got != StateDone {
+				j, _ := s.jobByID("job-000001")
+				t.Fatalf("job finished %q (%s), want done", got, j.status().Error)
+			}
+			j, _ := s.jobByID("job-000001")
+			if got := mustJSON(t, j.status().Results); !bytes.Equal(got, want) {
+				t.Error("job restarted from a discarded checkpoint diverges from an uninterrupted run")
+			}
+		})
 	}
 }

@@ -314,6 +314,18 @@ func TestServerAPIErrors(t *testing.T) {
 		t.Errorf("bad spec: status %d, want 400", resp.StatusCode)
 	}
 
+	// A spec that decodes but names a machine above the node cap is
+	// unprocessable, not malformed.
+	resp, err = client.Post(ts.URL+"/jobs", "application/json", strings.NewReader(
+		`{"machines": [{"procs": 17, "level": "base", "l2": "1M", "assoc": 1}], "measure_txns": 10}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Errorf("17-processor spec: status %d, want 422", resp.StatusCode)
+	}
+
 	for _, path := range []string{"/jobs/job-000099", "/jobs/job-000099/stream"} {
 		resp, err = client.Get(ts.URL + path)
 		if err != nil {

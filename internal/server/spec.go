@@ -93,10 +93,17 @@ func DecodeJobSpec(r io.Reader) (JobSpec, []core.Config, error) {
 	}
 	cfgs, err := spec.Configs()
 	if err != nil {
-		return JobSpec{}, nil, err
+		return JobSpec{}, nil, invalidSpecError{err}
 	}
 	return spec, cfgs, nil
 }
+
+// invalidSpecError marks a spec that decodes but fails validation, such as
+// a machine above coherence.MaxNodes processors. The submit handler answers
+// it with 422 Unprocessable Entity; malformed JSON gets 400.
+type invalidSpecError struct{ error }
+
+func (e invalidSpecError) Unwrap() error { return e.error }
 
 // Configs validates the spec's bounds and resolves its machines.
 func (s *JobSpec) Configs() ([]core.Config, error) {

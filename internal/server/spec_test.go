@@ -71,6 +71,7 @@ func TestDecodeJobSpecRejects(t *testing.T) {
 		{"bad level", `{"machines": [{"procs": 1, "level": "warp", "l2": "1M", "assoc": 1}], "measure_txns": 10}`},
 		{"bad size", `{"machines": [{"procs": 1, "level": "base", "l2": "zero", "assoc": 1}], "measure_txns": 10}`},
 		{"zero procs", `{"machines": [{"procs": 0, "level": "base", "l2": "1M", "assoc": 1}], "measure_txns": 10}`},
+		{"17 procs", `{"machines": [{"procs": 17, "level": "base", "l2": "1M", "assoc": 1}], "measure_txns": 10}`},
 		{"checkpoint quantum too large", fmt.Sprintf(`{"machines": [%s], "measure_txns": 10, "checkpoint_every": %d}`, machine, uint64(MaxTxns)+1)},
 		{"oversized body", `{"name": "` + strings.Repeat("x", MaxSpecBytes) + `"}`},
 	}

@@ -35,7 +35,7 @@ const Magic = "OLTPSNAP"
 
 // Version is the current format version. Load refuses any other version:
 // state layout changes must bump it.
-const Version uint32 = 2
+const Version uint32 = 3
 
 // maxSectionName bounds section names; anything longer is corruption.
 const maxSectionName = 255

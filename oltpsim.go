@@ -32,7 +32,6 @@ package oltpsim
 
 import (
 	"oltpsim/internal/core"
-	"oltpsim/internal/dss"
 	"oltpsim/internal/experiments"
 	"oltpsim/internal/oltp"
 	"oltpsim/internal/stats"
@@ -137,16 +136,8 @@ var (
 	QuickOptions   = experiments.QuickOptions
 )
 
-// DSSParams configures the decision-support contrast workload (the paper's
-// introduction: DSS is "relatively insensitive to memory system
-// performance"; the extension benchmarks quantify the contrast).
-type DSSParams = dss.Params
-
-// DSS workload constructors.
+// Paper comparison: measured figures against the published bars.
 var (
-	NewDSSWorkload        = dss.NewHarness
-	MustNewDSSWorkload    = dss.MustNewHarness
-	DefaultDSSParams      = dss.DefaultParams
 	CompareWithPaper      = experiments.Compare
 	RenderPaperComparison = experiments.RenderComparison
 )
