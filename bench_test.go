@@ -197,26 +197,7 @@ func BenchmarkAblationMigratory(b *testing.B) {
 	b.ReportMetric(off/on, "slowdown-without-migratory")
 }
 
-// BenchmarkAblationVictimBuffer measures the 21364-style L2 victim buffer.
-func BenchmarkAblationVictimBuffer(b *testing.B) {
-	o := benchOptions(b)
-	var without, with float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := IntegratedL2Config(1, 2*MB, 1, OnChipSRAM) // direct-mapped: conflicts to catch
-		rWithout := o.Run(cfg)
-		without = rWithout.CyclesPerTxn()
-		cfg.VictimBuffers = 8
-		cfg.Name = "L2 2M1w +VB"
-		rWith := o.Run(cfg)
-		with = rWith.CyclesPerTxn()
-	}
-	b.StopTimer()
-	b.Logf("\nvictim buffer: without %.0f, with %.0f cycles/txn (%.2fx)", without, with, without/with)
-	b.ReportMetric(without/with, "victim-buffer-speedup")
-}
-
-// BenchmarkAblationSharedL2Latency sweeps the integrated L2 hit latency to
+// BenchmarkAblationL2HitLatency sweeps the integrated L2 hit latency to
 // show how strongly uniprocessor OLTP depends on it (the paper's Section 3
 // design argument).
 func BenchmarkAblationL2HitLatency(b *testing.B) {
@@ -360,7 +341,9 @@ func BenchmarkSimulationThroughput(b *testing.B) {
 
 // BenchmarkJobThroughput measures one job's end-to-end trip through the
 // simulation service: HTTP submission, queue admission, worker execution of
-// a quick single-machine run, and the SSE stream closing on completion.
+// a quick single-machine run at the server's default checkpoint quantum
+// (an end-of-warmup and an end-of-run checkpoint, both fsync'd), and the
+// SSE stream closing on completion.
 // The simulation itself is the same work the runner benchmarks time, so
 // this number is the service-layer overhead on top of it; cmd/benchdiff
 // guards it like the rest.
@@ -381,8 +364,7 @@ func BenchmarkJobThroughput(b *testing.B) {
 		"machines": [{"procs": 1, "level": "base", "l2": "1M", "assoc": 1}],
 		"warmup_txns": 30,
 		"measure_txns": 60,
-		"quick": true,
-		"checkpoint_every": 0
+		"quick": true
 	}`
 	oneJob := func() {
 		rec := httptest.NewRecorder()

@@ -25,10 +25,10 @@ import (
 	"strings"
 	"sync"
 
+	"oltpsim/internal/cli"
 	"oltpsim/internal/core"
 	"oltpsim/internal/experiments"
 	"oltpsim/internal/prof"
-	"oltpsim/internal/scenario"
 )
 
 func main() {
@@ -96,7 +96,7 @@ func main() {
 	// ladder under the scenario and render normalized cost per phase. The
 	// default figure set (and its golden output) is untouched.
 	if *scenFile != "" {
-		sched, err := loadSchedule(*scenFile)
+		sched, err := cli.LoadSchedule(*scenFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "figures:", err)
 			os.Exit(2)
@@ -205,20 +205,6 @@ func main() {
 	for i := range reports {
 		fmt.Print(reports[i])
 	}
-}
-
-// loadSchedule decodes and compiles a scenario profile file.
-func loadSchedule(path string) (*scenario.Schedule, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	p, err := scenario.DecodeProfile(f)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", path, err)
-	}
-	return p.Compile()
 }
 
 func printFigure3() {

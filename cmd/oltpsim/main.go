@@ -23,7 +23,6 @@ import (
 	"oltpsim/internal/core"
 	"oltpsim/internal/experiments"
 	"oltpsim/internal/prof"
-	"oltpsim/internal/scenario"
 )
 
 func main() {
@@ -83,7 +82,7 @@ func main() {
 	opt.MeasureTxns = *measure
 	opt.Quick = *quick
 	if *scenFile != "" {
-		sched, err := loadSchedule(*scenFile)
+		sched, err := cli.LoadSchedule(*scenFile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "oltpsim:", err)
 			os.Exit(2)
@@ -116,20 +115,6 @@ func main() {
 			os.Exit(1)
 		}
 	}
-}
-
-// loadSchedule decodes and compiles a scenario profile file.
-func loadSchedule(path string) (*scenario.Schedule, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	prof, err := scenario.DecodeProfile(f)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %s: %w", path, err)
-	}
-	return prof.Compile()
 }
 
 // writeTimeline writes the per-phase timeline, JSON for .json paths and CSV

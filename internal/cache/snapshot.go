@@ -59,53 +59,3 @@ func (c *Cache) LoadState(d *snapshot.Decoder) error {
 	c.Hits = hits
 	return nil
 }
-
-// SaveState writes the victim buffer contents, replacement cursor, and
-// counters.
-func (v *VictimBuffer) SaveState(e *snapshot.Encoder) {
-	e.Int(len(v.entries))
-	for _, ent := range v.entries {
-		e.U64(ent.line)
-		e.U8(uint8(ent.state))
-	}
-	e.Int(v.next)
-	e.U64(v.Hits)
-	e.U64(v.Probes)
-}
-
-// LoadState restores a buffer of identical size.
-func (v *VictimBuffer) LoadState(d *snapshot.Decoder) error {
-	n := d.Int()
-	if d.Err() != nil {
-		return d.Err()
-	}
-	if n != len(v.entries) {
-		return fmt.Errorf("victim buffer: snapshot has %d entries, want %d", n, len(v.entries))
-	}
-	entries := make([]victimEntry, n)
-	for i := range entries {
-		entries[i] = victimEntry{line: d.U64(), state: State(d.U8())}
-	}
-	next := d.Int()
-	hits := d.U64()
-	probes := d.U64()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	for i, ent := range entries {
-		if ent.state > Modified {
-			return fmt.Errorf("victim buffer: entry %d has invalid state %d", i, ent.state)
-		}
-	}
-	if (n == 0 && next != 0) || (n > 0 && (next < 0 || next >= n)) {
-		return fmt.Errorf("victim buffer: cursor %d out of range for %d entries", next, n)
-	}
-	if hits > probes {
-		return fmt.Errorf("victim buffer: %d hits exceed %d probes", hits, probes)
-	}
-	copy(v.entries, entries)
-	v.next = next
-	v.Hits = hits
-	v.Probes = probes
-	return nil
-}

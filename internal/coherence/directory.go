@@ -80,7 +80,7 @@ func (c Category) String() string {
 // lightweight fakes.
 type Peers interface {
 	// InvalidatePeer removes line from every structure at node (L1s, L2,
-	// RAC, victim buffers) and reports whether any copy was dirty.
+	// RAC) and reports whether any copy was dirty.
 	InvalidatePeer(node int, line uint64) (wasDirty bool)
 	// DowngradePeer demotes node's Modified/Exclusive copy of line to Shared
 	// and reports whether it was dirty. The report is authoritative: a line

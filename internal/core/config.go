@@ -83,10 +83,6 @@ type Config struct {
 	// (ablation: every dirty read miss then downgrades to shared and the
 	// following write pays an upgrade).
 	NoMigratory bool
-	// VictimBuffers enables the 21364-style L2 victim buffer with the given
-	// entry count (0 = disabled; Figure 3 latencies already assume the
-	// production arrangement, so this is an ablation knob).
-	VictimBuffers int
 	// Classify enables cold/capacity/conflict miss classification on the L2
 	// (costly; used by the classification experiment only).
 	Classify bool

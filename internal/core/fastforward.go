@@ -23,7 +23,7 @@ import (
 // serial engine would have dispatched this core for every one of those
 // references anyway, so the executed sequence IS the serial sequence. An
 // L1 miss inside the run changes memory-system state (caches, directory,
-// victim buffer, RAC) and this core's clock, and nothing else: no other
+// RAC) and this core's clock, and nothing else: no other
 // core's heap key moves, and no scheduler state changes, because wakes
 // happen only in segment drains and runs contain no drains.
 // So the bound and the preemption inputs stay valid across misses, and the

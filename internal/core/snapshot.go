@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 
 	"oltpsim/internal/cpu"
 	"oltpsim/internal/snapshot"
@@ -37,23 +36,14 @@ func (c Config) Fingerprint() string {
 	return fmt.Sprintf("%+v rac=%s lat=%s", flat, rac, lat)
 }
 
-// Save writes the complete machine state as one standalone snapshot
-// stream; SaveTo writes the same sections into a caller's writer.
-func (s *System) Save(out io.Writer) error {
-	w := snapshot.NewWriter()
-	if err := s.SaveTo(w); err != nil {
-		return err
-	}
-	return w.Emit(out)
-}
-
-// SaveTo writes the complete machine state — caches, directory, CPU
-// models, counters, and the workload — as the sections
-// of w. A container that carries the machine nests it with Writer.Nest, so
-// the machine is encoded straight into the container's buffer. A system
-// with a miss classifier cannot be saved (the classifier's unbounded
-// line-history table is diagnostic, not architectural).
-func (s *System) SaveTo(w *snapshot.Writer) error {
+// SaveState writes the complete machine state — caches, directory, CPU
+// models, counters, and the workload — as the sections config, machine,
+// directory and workload of w, straight into the caller's buffer: a
+// checkpoint container writes its own sections first and then hands its
+// writer here. A system with a miss classifier cannot be saved (the
+// classifier's unbounded line-history table is diagnostic, not
+// architectural).
+func (s *System) SaveState(w *snapshot.Writer) error {
 	if s.classifier != nil {
 		return fmt.Errorf("core: a system with Classify enabled cannot be snapshotted")
 	}
@@ -78,7 +68,6 @@ func (s *System) SaveTo(w *snapshot.Writer) error {
 			}
 		}
 		n.l2.SaveState(e)
-		n.vb.SaveState(e)
 		if n.rc != nil {
 			n.rc.SaveState(e)
 		}
@@ -96,10 +85,12 @@ func (s *System) SaveTo(w *snapshot.Writer) error {
 	return nil
 }
 
-// Load restores a snapshot into a system built from the identical
-// configuration and workload parameters. On error the system is left in an
-// unspecified partially-restored state and must be discarded.
-func (s *System) Load(in io.Reader) error {
+// LoadState restores the sections SaveState wrote from r into a system
+// built from the identical configuration and workload parameters. It
+// leaves r.Finish to the caller, which owns the container's other
+// sections. On error the system is left in an unspecified
+// partially-restored state and must be discarded.
+func (s *System) LoadState(r *snapshot.Reader) error {
 	if s.classifier != nil {
 		return fmt.Errorf("core: a system with Classify enabled cannot restore a snapshot")
 	}
@@ -107,11 +98,6 @@ func (s *System) Load(in io.Reader) error {
 	if !ok {
 		return fmt.Errorf("core: workload %T does not support snapshots", s.w)
 	}
-	r, err := snapshot.NewReader(in)
-	if err != nil {
-		return err
-	}
-
 	d, err := r.Section("config")
 	if err != nil {
 		return err
@@ -153,9 +139,6 @@ func (s *System) Load(in io.Reader) error {
 			}
 		}
 		if err := n.l2.LoadState(d); err != nil {
-			return err
-		}
-		if err := n.vb.LoadState(d); err != nil {
 			return err
 		}
 		if n.rc != nil {
@@ -200,10 +183,7 @@ func (s *System) Load(in io.Reader) error {
 	if err := ws.LoadState(d); err != nil {
 		return err
 	}
-	if err := d.Finish(); err != nil {
-		return err
-	}
-	return r.Finish()
+	return d.Finish()
 }
 
 // RunMeasured executes the measurement phase against the current —

@@ -62,7 +62,7 @@ type coreCtx struct {
 	chip *node
 }
 
-// node is one processor chip: cores sharing an L2 (and victim buffer/RAC),
+// node is one processor chip: cores sharing an L2 (and RAC),
 // which is also the unit of directory sharing. Multiple cores per chip is
 // the CMP extension the paper's conclusion points to ("the next logical
 // step seems to be to tolerate the remaining latencies by exploiting the
@@ -72,7 +72,6 @@ type node struct {
 	id    int
 	cores []*coreCtx
 	l2    *cache.Cache
-	vb    *cache.VictimBuffer
 	rc    *rac.RAC
 	miss  stats.MissTable
 
@@ -163,11 +162,7 @@ func NewSystem(cfg Config, w Workload) (*System, error) {
 	s.dir = coherence.New(chips, w.HomeOf, (*peers)(s))
 	s.dir.Migratory = !cfg.NoMigratory
 	for i := 0; i < chips; i++ {
-		n := &node{
-			id: i,
-			l2: cache.New(cfg.L2CacheConfig()),
-			vb: cache.NewVictimBuffer(cfg.VictimBuffers),
-		}
+		n := &node{id: i, l2: cache.New(cfg.L2CacheConfig())}
 		if cfg.RAC != nil {
 			if chips == 1 {
 				return nil, fmt.Errorf("core: a RAC caches remote lines and needs a multiprocessor")
@@ -599,7 +594,7 @@ func (s *System) access(n *node, co *coreCtx, r memref.Ref) (uint32, cpu.StallCa
 }
 
 // accessBeyondL1 continues a reference that did not retire in the L1: the L2
-// permission path, victim buffer, RAC, and directory transaction. The caller
+// permission path, RAC, and directory transaction. The caller
 // has already performed the L1 lookup (whose result beyond hit/miss the
 // lower levels never need) and counted the reference in the node's kind
 // counters. Split out of access so the run loop (fastforward.go) can finish
@@ -637,26 +632,6 @@ func (s *System) accessBeyondL1(n *node, co *coreCtx, l1 *cache.Cache, line uint
 		n.l2.SetState(line, cache.Modified)
 		s.fillL1(n, l1, line, cache.Modified)
 		return s.latFor(res.Cat), s.stallFor(res.Cat)
-	}
-
-	// L2 miss: victim buffer (if configured).
-	if vst, ok := n.vb.Take(line); ok {
-		if write && vst == cache.Shared {
-			res := s.dir.Write(line, n.id)
-			if res.Invalidations > 0 {
-				s.writeInvalOps++
-			}
-			n.miss.CountUpgrade(res.Cat)
-			s.insertL2(n, line, cache.Modified)
-			s.fillL1(n, l1, line, cache.Modified)
-			return s.latFor(res.Cat), s.stallFor(res.Cat)
-		}
-		if write {
-			vst = cache.Modified
-		}
-		s.insertL2(n, line, vst)
-		s.fillL1(n, l1, line, l1FillState(vst, ifetch))
-		return s.lat.L2Hit, cpu.CatL2Hit
 	}
 
 	// L2 miss: own RAC (remote lines only).
@@ -753,8 +728,8 @@ func (s *System) siblingInvalidate(n *node, co *coreCtx, line uint64) {
 }
 
 // insertL2 installs line in chip n's L2 and unwinds the eviction cascade:
-// inclusion back-invalidation of every core's L1s, victim buffer staging,
-// RAC insertion for remote victims, and directory writebacks/hints.
+// inclusion back-invalidation of every core's L1s, RAC insertion for
+// remote victims, and directory writebacks/hints.
 func (s *System) insertL2(n *node, line uint64, st cache.State) {
 	victim, vst := n.l2.Insert(line, st)
 	if vst == cache.Invalid {
@@ -767,12 +742,6 @@ func (s *System) insertL2(n *node, line uint64, st cache.State) {
 			vst = cache.Modified
 		}
 		co.l1i.Invalidate(victim)
-	}
-
-	// Victim buffer stage (identity pass-through when disabled).
-	victim, vst = n.vb.Put(victim, vst)
-	if vst == cache.Invalid {
-		return
 	}
 	s.retire(n, victim, vst)
 }
@@ -853,9 +822,6 @@ func (p *peers) InvalidatePeer(nodeID int, line uint64) bool {
 	if n.l2.Invalidate(line) == cache.Modified {
 		dirty = true
 	}
-	if n.vb.Invalidate(line) == cache.Modified {
-		dirty = true
-	}
 	if n.rc != nil && n.rc.Invalidate(line) == cache.Modified {
 		dirty = true
 	}
@@ -879,9 +845,6 @@ func (p *peers) DowngradePeer(nodeID int, line uint64) bool {
 			dirty = true
 		}
 		n.l2.SetState(line, cache.Shared)
-	}
-	if st := n.vb.Downgrade(line); st == cache.Modified {
-		dirty = true
 	}
 	if n.rc != nil {
 		if st := n.rc.Probe(line); st == cache.Modified {

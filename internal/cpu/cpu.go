@@ -15,7 +15,7 @@ type StallCat uint8
 const (
 	// CatNone: no stall (L1 hit).
 	CatNone StallCat = iota
-	// CatL2Hit: stall for an L2 (or victim buffer) hit.
+	// CatL2Hit: stall for an L2 hit.
 	CatL2Hit
 	// CatLocal: stall for local memory (including own-RAC hits).
 	CatLocal

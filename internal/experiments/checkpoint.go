@@ -57,10 +57,11 @@ func SaveCheckpoint(out io.Writer, sys *core.System, phase uint8, measureBase ui
 	return w.Emit(out)
 }
 
-// saveCheckpoint writes the checkpoint container into w, in three sections:
-// protocol (phase, measure base); schedule (the schedule fingerprint, "" for
-// steady state, then the completed phase segments and the previous
-// cumulative collection); and system, the machine's stream nested in place.
+// saveCheckpoint writes the checkpoint container into w as one flat
+// stream: protocol (phase, measure base); schedule (the schedule
+// fingerprint, "" for steady state, then the completed phase segments and
+// the previous cumulative collection); then the machine's own sections
+// (config, machine, directory, workload), written by System.SaveState.
 func saveCheckpoint(w *snapshot.Writer, sys *core.System, st *ckptState, fingerprint string) error {
 	if !validPhase(st.phase) {
 		return fmt.Errorf("experiments: invalid checkpoint phase %d", st.phase)
@@ -76,7 +77,7 @@ func saveCheckpoint(w *snapshot.Writer, sys *core.System, st *ckptState, fingerp
 		st.done[i].Result.SaveState(e)
 	}
 	st.prev.SaveState(e)
-	return w.Nest("system", sys.SaveTo)
+	return sys.SaveState(w)
 }
 
 // scheduleLabel names a schedule fingerprint in an error message.
@@ -140,21 +141,10 @@ func loadCheckpoint(data []byte, sys *core.System, fingerprint string, phases in
 	if err := d.Finish(); err != nil {
 		return st, err
 	}
-	d, err = r.Section("system")
-	if err != nil {
+	if err := sys.LoadState(r); err != nil {
 		return st, err
 	}
-	payload := d.U8s()
-	if err := d.Finish(); err != nil {
-		return st, err
-	}
-	if err := r.Finish(); err != nil {
-		return st, err
-	}
-	if err := sys.Load(bytes.NewReader(payload)); err != nil {
-		return st, err
-	}
-	return st, nil
+	return st, r.Finish()
 }
 
 // fits checks a resumed protocol position against the resuming run's

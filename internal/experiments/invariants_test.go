@@ -21,8 +21,8 @@ func invariantOptions() Options {
 
 // invariantConfigs is the table: one representative of every machine shape
 // the figures sweep — off-chip and integrated L2s, uni- and multiprocessor,
-// victim buffers, RAC, code replication, CMP, and out-of-order
-// cores — so a conservation bug in any path fails here, not in a figure.
+// RAC, code replication, CMP, and out-of-order cores — so a conservation
+// bug in any path fails here, not in a figure.
 func invariantConfigs() []core.Config {
 	cfgs := []core.Config{
 		core.BaseConfig(1, 8*core.MB, 1),
@@ -36,11 +36,6 @@ func invariantConfigs() []core.Config {
 		racConfig(1*core.MB, 4, true, false, "RAC NoRepl"),
 		racConfig(1*core.MB, 4, true, true, "RAC Repl"),
 	}
-	vb := core.IntegratedL2Config(1, 2*core.MB, 1, core.OnChipSRAM)
-	vb.VictimBuffers = 8
-	vb.Name = "2M1w +VB"
-	cfgs = append(cfgs, vb)
-
 	cmp := core.FullConfig(8, 2*core.MB, 8)
 	cmp.CoresPerChip = 4
 	cmp.Name = "All 2x4 CMP"
@@ -98,7 +93,8 @@ func checkConservation(t *testing.T, cfg core.Config, sys *core.System, res stat
 	// L2 access (inclusive hierarchy), and L1-Shared writes fall through for
 	// permission without an L1 miss, so L1 misses <= L2 accesses. Every
 	// counted miss left the L2 tags, so table misses <= L2 tag misses
-	// (victim-buffer hits are tag misses the table deliberately skips).
+	// (a write that hits a Shared RAC copy is a tag miss the table counts
+	// as an upgrade).
 	cores := cfg.CoresPerChip
 	if cores == 0 {
 		cores = 1

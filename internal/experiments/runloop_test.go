@@ -58,10 +58,10 @@ func TestRunLoopStateAtEveryCommit(t *testing.T) {
 				oracle.RunUntil(k)
 				wl.Reset()
 				wo.Reset()
-				if err := loop.SaveTo(wl); err != nil {
+				if err := loop.SaveState(wl); err != nil {
 					t.Fatal(err)
 				}
-				if err := oracle.SaveTo(wo); err != nil {
+				if err := oracle.SaveState(wo); err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(wl.Bytes(), wo.Bytes()) {

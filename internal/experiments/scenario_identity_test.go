@@ -66,16 +66,10 @@ func TestScenarioSinglePhaseIsSteadyState(t *testing.T) {
 		t.Errorf("single-phase scenario result differs from steady state:\n got %+v\nwant %+v", gotRes, refRes)
 	}
 
-	var refState, gotState bytes.Buffer
-	if err := sysSteady.Save(&refState); err != nil {
-		t.Fatal(err)
-	}
-	if err := sysPhased.Save(&gotState); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(refState.Bytes(), gotState.Bytes()) {
+	refState, gotState := checkpointBytes(t, sysSteady), checkpointBytes(t, sysPhased)
+	if !bytes.Equal(refState, gotState) {
 		t.Errorf("final machine state differs: steady %d bytes, phased %d bytes",
-			refState.Len(), gotState.Len())
+			len(refState), len(gotState))
 	}
 
 	// The segmented runner reports the same total.

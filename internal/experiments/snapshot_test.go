@@ -13,8 +13,8 @@ import (
 // for every machine shape the figures sweep, a run that saves its warm state,
 // is discarded, and resumes in a freshly built machine must be bit-identical
 // to an uninterrupted run — same RunResult, same final machine state down to
-// every counter — and Save→Load→Save must reproduce the snapshot byte for
-// byte.
+// every counter — and save→load→save of the checkpoint container must
+// reproduce it byte for byte.
 func TestSnapshotEquivalence(t *testing.T) {
 	o := invariantOptions()
 	for _, cfg := range invariantConfigs() {
@@ -24,34 +24,24 @@ func TestSnapshotEquivalence(t *testing.T) {
 			// Uninterrupted reference run through the public protocol.
 			resA := o.Run(cfg)
 
-			// The same run, checkpointing its warm state mid-flight. Save is
+			// The same run, checkpointing its warm state mid-flight. Saving is
 			// read-only, so this run must match the reference exactly.
 			sysB := core.MustNewSystem(cfg, oltp.MustNewHarness(o.Params(cfg)))
 			sysB.RunUntil(o.WarmupTxns)
-			var warm bytes.Buffer
-			if err := sysB.Save(&warm); err != nil {
-				t.Fatalf("save warm state: %v", err)
-			}
+			warm := checkpointBytes(t, sysB)
 			resB := sysB.RunMeasured(o.MeasureTxns)
 			resB.Name = cfg.Name
 			if !reflect.DeepEqual(resA, resB) {
 				t.Fatalf("saving a snapshot perturbed the run:\n%+v\nvs\n%+v", resA, resB)
 			}
-			var finalB bytes.Buffer
-			if err := sysB.Save(&finalB); err != nil {
-				t.Fatalf("save final state: %v", err)
-			}
+			finalB := checkpointBytes(t, sysB)
 
 			// Restore into a fresh machine; the round trip must be byte-stable.
 			sysC := core.MustNewSystem(cfg, oltp.MustNewHarness(o.Params(cfg)))
-			if err := sysC.Load(bytes.NewReader(warm.Bytes())); err != nil {
+			if _, err := loadCheckpoint(warm, sysC, "", 1); err != nil {
 				t.Fatalf("load warm state: %v", err)
 			}
-			var warm2 bytes.Buffer
-			if err := sysC.Save(&warm2); err != nil {
-				t.Fatalf("re-save warm state: %v", err)
-			}
-			if !bytes.Equal(warm.Bytes(), warm2.Bytes()) {
+			if !bytes.Equal(warm, checkpointBytes(t, sysC)) {
 				t.Fatal("save-load-save warm state is not byte-stable")
 			}
 
@@ -62,16 +52,23 @@ func TestSnapshotEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(resB, resC) {
 				t.Fatalf("resumed result diverges:\n%+v\nvs\n%+v", resB, resC)
 			}
-			var finalC bytes.Buffer
-			if err := sysC.Save(&finalC); err != nil {
-				t.Fatalf("save resumed final state: %v", err)
-			}
-			if !bytes.Equal(finalB.Bytes(), finalC.Bytes()) {
+			if !bytes.Equal(finalB, checkpointBytes(t, sysC)) {
 				t.Fatal("final machine state diverges after resume")
 			}
 			checkConservation(t, cfg, sysC, resC)
 		})
 	}
+}
+
+// checkpointBytes encodes sys as an end-of-warmup steady-state checkpoint
+// container, the form every comparison of machine state goes through.
+func checkpointBytes(t *testing.T, sys *core.System) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	if err := SaveCheckpoint(&b, sys, CheckpointWarmed, 0); err != nil {
+		t.Fatalf("save checkpoint: %v", err)
+	}
+	return b.Bytes()
 }
 
 // TestSnapshotCheckpointResume exercises the checkpoint container by hand:
@@ -121,12 +118,9 @@ func TestSnapshotConfigMismatch(t *testing.T) {
 	src := core.BaseConfig(8, 8*core.MB, 1)
 	sys := o.build(src)
 	sys.RunUntil(o.WarmupTxns)
-	var snap bytes.Buffer
-	if err := sys.Save(&snap); err != nil {
-		t.Fatalf("save: %v", err)
-	}
+	snap := checkpointBytes(t, sys)
 	other := o.build(core.FullConfig(8, 2*core.MB, 8))
-	if err := other.Load(bytes.NewReader(snap.Bytes())); err == nil {
+	if _, err := loadCheckpoint(snap, other, "", 1); err == nil {
 		t.Fatal("loading a snapshot into a different configuration succeeded")
 	}
 }

@@ -28,8 +28,7 @@
 // during a Collect phase and query during Run:
 //
 //   - snapshotcomplete: every mutable field of a type with a
-//     SaveState/LoadState (or io.Writer/io.Reader Save/Load) pair is
-//     referenced by both halves, or carries `//oltpvet:derived <reason>`
+//     SaveState/LoadState pair is referenced by both halves, or carries `//oltpvet:derived <reason>`
 //     marking it recomputed on load. Lone pair halves and stale derived
 //     annotations are themselves diagnostics.
 //   - maporder: no `range` over a map in any function whose results can

@@ -96,7 +96,7 @@ func TestSnapshotCompleteFacts(t *testing.T) {
 			pairs = append(pairs, p.Type)
 		}
 	}
-	want := []string{"Bare", "Container", "Lit", "Machine", "Wrap", "Zeroed"}
+	want := []string{"Bare", "Lit", "Machine", "Wrap", "Zeroed"}
 	if !reflect.DeepEqual(pairs, want) {
 		t.Errorf("verified pairs = %v, want %v", pairs, want)
 	}
@@ -133,7 +133,7 @@ func TestHotPathColdpathFact(t *testing.T) {
 }
 
 // TestSnapshotMutation is the detection guarantee behind the clean-repo
-// pin: a copy of the real cache.VictimBuffer pair with the replacement
+// pin: a copy of the former cache.VictimBuffer pair with the replacement
 // cursor's serialization deleted must be caught.
 func TestSnapshotMutation(t *testing.T) {
 	checkProgFixture(t, "mutation", []*Analyzer{NewSnapshotComplete()})
@@ -247,7 +247,6 @@ func TestContractAnalyzersPinned(t *testing.T) {
 	}
 	wantPairs := []string{
 		"oltpsim/internal/cache Cache",
-		"oltpsim/internal/cache VictimBuffer",
 		"oltpsim/internal/coherence Directory",
 		"oltpsim/internal/core System",
 		"oltpsim/internal/cpu Breakdown",

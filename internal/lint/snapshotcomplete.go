@@ -16,8 +16,7 @@ import (
 type SnapPairFact struct {
 	// Type is the receiver type's name.
 	Type string
-	// Save and Load are the method names of the pair (SaveState/LoadState,
-	// or Save/Load for the io.Writer/io.Reader container form).
+	// Save and Load are the method names of the pair (SaveState/LoadState).
 	Save string
 	Load string
 }
@@ -25,9 +24,8 @@ type SnapPairFact struct {
 const snapshotCompleteName = "snapshotcomplete"
 
 // NewSnapshotComplete builds the snapshot-coverage analyzer. For every type
-// with a snapshot pair — methods SaveState/LoadState, or Save/Load taking
-// io.Writer/io.Reader — it verifies that every mutable field is referenced
-// by both halves of the pair, where:
+// with a snapshot pair — methods SaveState/LoadState — it verifies that
+// every mutable field is referenced by both halves of the pair, where:
 //
 //   - a field is mutable if any non-constructor function in the package
 //     writes it (a constructor is a package-level function whose results
@@ -103,7 +101,7 @@ func (sc *snapshotComplete) collect(pass *Pass) {
 			if recv == nil {
 				continue
 			}
-			role := snapshotRole(fd.Name.Name, sig)
+			role := snapshotRole(fd.Name.Name)
 			if role == 0 {
 				continue
 			}
@@ -151,25 +149,17 @@ const (
 )
 
 // snapshotRole classifies a method as the save or load half of a snapshot
-// pair, or 0. SaveState/LoadState match by name (their encoder parameter
-// shape varies: kernel.Scheduler threads rebind callbacks through its
-// pair); Save/Load only match the container form with a leading io.Writer /
-// io.Reader, so unrelated Load methods (emitter Load(addr, dep), the lint
-// loader's Load(path)) are not mistaken for snapshot halves.
-func snapshotRole(name string, sig *types.Signature) int {
+// pair, or 0. SaveState/LoadState match by name (their parameter shape
+// varies: most take an Encoder/Decoder, core.System takes the container's
+// Writer/Reader, and kernel.Scheduler threads rebind callbacks through its
+// pair), so unrelated Save or Load methods (emitter Load(addr, dep), the
+// lint loader's Load(path)) are never mistaken for snapshot halves.
+func snapshotRole(name string) int {
 	switch name {
 	case "SaveState":
 		return roleSave
 	case "LoadState":
 		return roleLoad
-	case "Save":
-		if sig.Params().Len() > 0 && isPkgType(sig.Params().At(0).Type(), "io", "Writer") {
-			return roleSave
-		}
-	case "Load":
-		if sig.Params().Len() > 0 && isPkgType(sig.Params().At(0).Type(), "io", "Reader") {
-			return roleLoad
-		}
 	}
 	return 0
 }

@@ -1,6 +1,6 @@
 // Package mutation is the snapshotcomplete mutation test: a copy of the
-// real cache.VictimBuffer snapshot pair (victim.go + snapshot.go) with one
-// serialization deleted — the round-robin replacement cursor `next` is
+// former cache.VictimBuffer snapshot pair (an L2 victim buffer the
+// simulator has since dropped) with one serialization deleted — the round-robin replacement cursor `next` is
 // neither written by SaveState nor restored by LoadState. Resuming such a
 // snapshot would silently restart replacement at slot 0 and diverge from
 // the uninterrupted run; the analyzer must catch the omission.

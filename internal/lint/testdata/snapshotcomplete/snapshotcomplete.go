@@ -6,8 +6,6 @@
 // hand.
 package snapshotcomplete
 
-import "io"
-
 // Enc is a stand-in encoder: SaveState/LoadState pair by name, whatever the
 // parameter shape, so the fixture needs no real serialization machinery.
 type Enc struct {
@@ -150,30 +148,8 @@ func (h *Half) Inc() { h.n++ }
 // SaveState has no LoadState counterpart.
 func (h *Half) SaveState(e *Enc) { e.U64(h.n) } // want "Half has SaveState but no matching load method"
 
-// Container uses the io.Writer/io.Reader pair form.
-type Container struct{ n uint64 }
-
-// Inc mutates n.
-func (c *Container) Inc() { c.n++ }
-
-// Save is the container half: leading io.Writer qualifies it.
-func (c *Container) Save(w io.Writer) error {
-	_, err := w.Write([]byte{byte(c.n)})
-	return err
-}
-
-// Load is the matching half: leading io.Reader qualifies it.
-func (c *Container) Load(r io.Reader) error {
-	var b [1]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return err
-	}
-	c.n = uint64(b[0])
-	return nil
-}
-
-// Emitter's Load is not a snapshot half — no io.Reader first parameter — so
-// the lone method is not reported.
+// Emitter's Load is not a snapshot half — only SaveState/LoadState are —
+// so the lone method is not reported.
 type Emitter struct{ addr uint64 }
 
 // Load issues a load reference; the name collides with the snapshot

@@ -7,6 +7,46 @@ import (
 	"testing"
 )
 
+// acceptedSeeds are FuzzJobSpecDecode seeds that must decode, so that the
+// fuzz body's bounds, Validate and round-trip checks run on them under plain
+// go test; TestFuzzJobSpecSeedsReachTheirCheck keeps them on that path.
+var acceptedSeeds = []string{
+	validSpecJSON,
+	`{"machines": [{"procs": 1, "level": "base", "l2": "1M", "assoc": 1}], "measure_txns": 10}`,
+	`{"machines": [{"procs": 8, "level": "l2mc", "l2": "8M", "assoc": 4, "cores": 2}], "warmup_txns": 3000, "measure_txns": 2000, "checkpoint_every": 500}`,
+	`{"machines": [{"procs": 4, "level": "full", "l2": "8M", "assoc": 4, "rac": "2M", "repl": true}], "measure_txns": 100}`,
+	`{"machines": [{"procs": 2, "level": "l2", "l2": "512K", "assoc": 2, "dram": true, "ooo": true}], "measure_txns": 5, "seed": 42, "quick": true}`,
+	`{"machines": [{"procs": 1, "level": "cons", "l2": "0.5M", "assoc": 1}], "measure_txns": 1, "checkpoint_every": 1}`,
+	`{"machines": [{"procs": 8, "level": "l2", "l2": "2M", "assoc": 8}], "measure_txns": 10, "scenario": {"name": "burst", "phases": [{"name": "calm", "txns": 100}, {"name": "spike", "txns": 50, "ramp_txns": 10, "mix": {"update": 1, "read": 3}, "skew": 0.9}]}}`,
+}
+
+// rejectedSeeds are FuzzJobSpecDecode seeds the decoder must refuse.
+var rejectedSeeds = []string{
+	`{"machines": [{"procs": 1, "level": "base", "l2": "8M", "assoc": 1}], "measure_txns": 10, "scenario": {"phases": [{"txns": 0}]}}`,
+	`{"machines": [{"procs": 4, "level": "full", "l2": "8M", "assoc": 4}], "measure_txns": 100, "workers": 4}`,
+	`{"machines": [{"procs": 1, "level": "cons", "l2": "0.5M", "assoc": 1}], "measure_txns": 1, "checkpoint_every": 0}`,
+	`{"machines": []}`,
+	`{"measure_txns": 18446744073709551615}`,
+	`[1,2,3]`,
+	`{"machines": [{"procs": -1, "level": "base", "l2": "-1M", "assoc": -1}], "measure_txns": 10}`,
+}
+
+// TestFuzzJobSpecSeedsReachTheirCheck pins which FuzzJobSpecDecode seeds the
+// decoder accepts: a wire-format change that turns an accepted seed into a
+// rejected one would otherwise silently skip every check the fuzz body makes.
+func TestFuzzJobSpecSeedsReachTheirCheck(t *testing.T) {
+	for i, body := range acceptedSeeds {
+		if _, _, err := DecodeJobSpec(strings.NewReader(body)); err != nil {
+			t.Errorf("accepted seed %d: %v", i, err)
+		}
+	}
+	for i, body := range rejectedSeeds {
+		if _, _, err := DecodeJobSpec(strings.NewReader(body)); err == nil {
+			t.Errorf("rejected seed %d decoded", i)
+		}
+	}
+}
+
 // FuzzJobSpecDecode hammers the submission decoder: whatever bytes arrive,
 // it must never panic, and any spec it accepts must resolve only into
 // configurations core.Config.Validate approves and the documented bounds
@@ -14,18 +54,12 @@ import (
 // Accepted specs must also survive a marshal/decode round trip to the same
 // configurations (the persistence layer re-decodes spec.json on recovery).
 func FuzzJobSpecDecode(f *testing.F) {
-	f.Add(validSpecJSON)
-	f.Add(`{"machines": [{"procs": 1, "level": "base", "l2": "1M", "assoc": 1}], "measure_txns": 10}`)
-	f.Add(`{"machines": [{"procs": 8, "level": "l2mc", "l2": "8M", "assoc": 4, "cores": 2}], "warmup_txns": 3000, "measure_txns": 2000, "checkpoint_every": 500}`)
-	f.Add(`{"machines": [{"procs": 4, "level": "full", "l2": "8M", "assoc": 4, "rac": "2M", "repl": true}], "measure_txns": 100, "workers": 4}`)
-	f.Add(`{"machines": [{"procs": 2, "level": "l2", "l2": "512K", "assoc": 2, "dram": true, "ooo": true}], "measure_txns": 5, "seed": 42, "quick": true}`)
-	f.Add(`{"machines": [{"procs": 1, "level": "cons", "l2": "0.5M", "assoc": 1}], "measure_txns": 1, "checkpoint_every": 0}`)
-	f.Add(`{"machines": [{"procs": 8, "level": "l2", "l2": "2M", "assoc": 8}], "measure_txns": 10, "scenario": {"name": "burst", "phases": [{"name": "calm", "txns": 100}, {"name": "spike", "txns": 50, "ramp_txns": 10, "mix": {"update": 1, "read": 3}, "skew": 0.9}]}}`)
-	f.Add(`{"machines": [{"procs": 1, "level": "base", "l2": "8M", "assoc": 1}], "measure_txns": 10, "scenario": {"phases": [{"txns": 0}]}}`)
-	f.Add(`{"machines": []}`)
-	f.Add(`{"measure_txns": 18446744073709551615}`)
-	f.Add(`[1,2,3]`)
-	f.Add(`{"machines": [{"procs": -1, "level": "base", "l2": "-1M", "assoc": -1}], "measure_txns": 10}`)
+	for _, body := range acceptedSeeds {
+		f.Add(body)
+	}
+	for _, body := range rejectedSeeds {
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, body string) {
 		spec, cfgs, err := DecodeJobSpec(strings.NewReader(body))
 		if err != nil {
@@ -37,8 +71,8 @@ func FuzzJobSpecDecode(f *testing.F) {
 		if spec.MeasureTxns == 0 || spec.MeasureTxns > MaxTxns || spec.WarmupTxns > MaxTxns {
 			t.Fatalf("accepted spec with out-of-bounds protocol: warmup=%d measure=%d", spec.WarmupTxns, spec.MeasureTxns)
 		}
-		if spec.Workers < 0 || spec.Workers > MaxWorkers {
-			t.Fatalf("accepted spec with out-of-bounds workers: %d", spec.Workers)
+		if spec.CheckpointEvery != nil && *spec.CheckpointEvery < 1 {
+			t.Fatalf("accepted spec with checkpoint_every %d, want absent or >= 1", *spec.CheckpointEvery)
 		}
 		if spec.Scenario != nil {
 			sched, err := spec.Scenario.Compile()

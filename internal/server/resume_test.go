@@ -405,18 +405,28 @@ func writeJobDir(t *testing.T, dataDir, id, spec, state string, results, checkpo
 	}
 }
 
-// TestRestartWithUndecodableSpec pins recovery of a job whose persisted
-// spec carries a field the wire format no longer has (step_workers, once a
-// no-op): the server still starts, a finished job stays done with its
-// results, an unfinished one becomes failed naming the field, neither is
-// re-queued, and new IDs continue after both.
+// TestRestartWithUndecodableSpec pins recovery of jobs whose persisted spec
+// the decoder now rejects: a removed field (step_workers, once a no-op;
+// workers, once the per-job RunMany fan-out) or a checkpoint_every of 0,
+// once the checkpoint-free path. The server still starts, a finished job
+// stays done with its results, an unfinished one becomes failed naming the
+// cause, none is re-queued, and new IDs continue after them.
 func TestRestartWithUndecodableSpec(t *testing.T) {
-	withField := strings.Replace(smokeSpec(), `"quick": true`, `"quick": true, "step_workers": 4`, 1)
+	// Each spec was valid when some earlier build persisted it; cause is
+	// what the recovered failure must name.
+	specs := []struct{ field, cause string }{
+		{`"step_workers": 4`, "step_workers"},
+		{`"workers": 2`, "workers"},
+		{`"checkpoint_every": 0`, "checkpoint_every"},
+	}
 	dir := t.TempDir()
-	writeJobDir(t, dir, "job-000001", withField, `{"state":"done","config":2,"checkpoints":4}`,
-		[]byte(`[{"Name":"a"},{"Name":"b"}]`), nil)
-	writeJobDir(t, dir, "job-000002", withField, `{"state":"checkpointed","config":0,"checkpoints":1}`,
-		nil, []byte("OLTPSNAP"))
+	for i, sp := range specs {
+		spec := strings.Replace(smokeSpec(), `"quick": true`, `"quick": true, `+sp.field, 1)
+		writeJobDir(t, dir, fmt.Sprintf("job-%06d", 2*i+1), spec, `{"state":"done","config":2,"checkpoints":4}`,
+			[]byte(`[{"Name":"a"},{"Name":"b"}]`), nil)
+		writeJobDir(t, dir, fmt.Sprintf("job-%06d", 2*i+2), spec, `{"state":"checkpointed","config":0,"checkpoints":1}`,
+			nil, []byte("OLTPSNAP"))
+	}
 	cfg := testServerConfig(dir)
 	var logs []string
 	cfg.Logf = func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) }
@@ -425,20 +435,22 @@ func TestRestartWithUndecodableSpec(t *testing.T) {
 		t.Fatalf("server did not start: %v", err)
 	}
 	defer s.Close()
-	done, ok := s.jobByID("job-000001")
-	if !ok {
-		t.Fatal("restart lost the finished job")
-	}
-	if st := done.status(); st.State != StateDone || len(st.Results) != 2 || st.Name != "smoke" {
-		t.Errorf("finished job recovered as %q with %d results, name %q; want done, 2, smoke",
-			st.State, len(st.Results), st.Name)
-	}
-	failed, ok := s.jobByID("job-000002")
-	if !ok {
-		t.Fatal("restart lost the unfinished job")
-	}
-	if st := failed.status(); st.State != StateFailed || !strings.Contains(st.Error, "step_workers") {
-		t.Errorf("unfinished job recovered as %q (error %q), want failed naming step_workers", st.State, st.Error)
+	for i, sp := range specs {
+		done, ok := s.jobByID(fmt.Sprintf("job-%06d", 2*i+1))
+		if !ok {
+			t.Fatalf("%s: restart lost the finished job", sp.cause)
+		}
+		if st := done.status(); st.State != StateDone || len(st.Results) != 2 || st.Name != "smoke" {
+			t.Errorf("%s: finished job recovered as %q with %d results, name %q; want done, 2, smoke",
+				sp.cause, st.State, len(st.Results), st.Name)
+		}
+		failed, ok := s.jobByID(fmt.Sprintf("job-%06d", 2*i+2))
+		if !ok {
+			t.Fatalf("%s: restart lost the unfinished job", sp.cause)
+		}
+		if st := failed.status(); st.State != StateFailed || !strings.Contains(st.Error, sp.cause) {
+			t.Errorf("unfinished job recovered as %q (error %q), want failed naming %s", st.State, st.Error, sp.cause)
+		}
 	}
 	s.mu.Lock()
 	pending, seq := len(s.pending), s.seq
@@ -446,10 +458,10 @@ func TestRestartWithUndecodableSpec(t *testing.T) {
 	if pending != 0 {
 		t.Errorf("restart re-queued %d jobs it cannot run", pending)
 	}
-	if seq != 2 {
-		t.Errorf("sequence after recovery %d, want 2", seq)
+	if want := uint64(2 * len(specs)); seq != want {
+		t.Errorf("sequence after recovery %d, want %d", seq, want)
 	}
-	if n := len(logs); n < 2 || !strings.Contains(strings.Join(logs, "\n"), "no longer decodes") {
+	if n := strings.Count(strings.Join(logs, "\n"), "no longer decodes"); n != 2*len(specs) {
 		t.Errorf("recovery logged %q, want a line per undecodable spec", logs)
 	}
 }

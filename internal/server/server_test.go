@@ -266,36 +266,6 @@ func TestServerLifecycle(t *testing.T) {
 	}
 }
 
-// TestServerRunManyPath pins the checkpoint-free executor: an explicit
-// checkpoint_every of 0 routes the sweep through RunMany (optionally
-// fanned across job workers) and still produces byte-identical results.
-func TestServerRunManyPath(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs real simulations")
-	}
-	s := newTestServer(t, testServerConfig(t.TempDir()))
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	body := strings.Replace(smokeSpec(), `"quick": true`, `"quick": true, "checkpoint_every": 0, "workers": 2`, 1)
-	st := postJob(t, ts, body)
-	if got := waitTerminal(t, s, st.ID); got != StateDone {
-		t.Fatalf("job finished %q, want done", got)
-	}
-	final := getStatus(t, ts, st.ID)
-	if final.Checkpoints != 0 {
-		t.Errorf("checkpoint-free job wrote %d checkpoints", final.Checkpoints)
-	}
-	_, cfgs, err := DecodeJobSpec(strings.NewReader(smokeSpec()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := smokeOptions().RunMany(cfgs)
-	if got, exp := mustJSON(t, final.Results), mustJSON(t, want); !bytes.Equal(got, exp) {
-		t.Errorf("RunMany-path results differ from direct call:\n got %s\nwant %s", got, exp)
-	}
-}
-
 // TestServerAPIErrors covers the REST error surface that needs no
 // simulation: malformed specs, unknown jobs, double cancels, and
 // submissions to a draining server.
@@ -314,16 +284,20 @@ func TestServerAPIErrors(t *testing.T) {
 		t.Errorf("bad spec: status %d, want 400", resp.StatusCode)
 	}
 
-	// A spec that decodes but names a machine above the node cap is
-	// unprocessable, not malformed.
-	resp, err = client.Post(ts.URL+"/jobs", "application/json", strings.NewReader(
-		`{"machines": [{"procs": 17, "level": "base", "l2": "1M", "assoc": 1}], "measure_txns": 10}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusUnprocessableEntity {
-		t.Errorf("17-processor spec: status %d, want 422", resp.StatusCode)
+	// A spec that decodes but names a machine above the node cap, or a
+	// zero checkpoint quantum, is unprocessable, not malformed.
+	for name, body := range map[string]string{
+		"17-processor spec":  `{"machines": [{"procs": 17, "level": "base", "l2": "1M", "assoc": 1}], "measure_txns": 10}`,
+		"checkpoint_every 0": strings.Replace(smokeSpec(), `"quick": true`, `"quick": true, "checkpoint_every": 0`, 1),
+	} {
+		resp, err = client.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("%s: status %d, want 422", name, resp.StatusCode)
+		}
 	}
 
 	for _, path := range []string{"/jobs/job-000099", "/jobs/job-000099/stream"} {

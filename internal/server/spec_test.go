@@ -1,6 +1,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -64,8 +65,8 @@ func TestDecodeJobSpecRejects(t *testing.T) {
 		{"zero measure", `{"machines": [` + machine + `], "measure_txns": 0}`},
 		{"measure too large", fmt.Sprintf(`{"machines": [%s], "measure_txns": %d}`, machine, uint64(MaxTxns)+1)},
 		{"warmup too large", fmt.Sprintf(`{"machines": [%s], "measure_txns": 10, "warmup_txns": %d}`, machine, uint64(MaxTxns)+1)},
-		{"negative workers", `{"machines": [` + machine + `], "measure_txns": 10, "workers": -1}`},
-		{"huge workers", fmt.Sprintf(`{"machines": [%s], "measure_txns": 10, "workers": %d}`, machine, MaxWorkers+1)},
+		{"removed workers field", `{"machines": [` + machine + `], "measure_txns": 10, "workers": 2}`},
+		{"zero checkpoint quantum", `{"machines": [` + machine + `], "measure_txns": 10, "checkpoint_every": 0}`},
 		{"removed step workers field", `{"machines": [` + machine + `], "measure_txns": 10, "step_workers": 4}`},
 		{"long name", `{"name": "` + strings.Repeat("x", MaxNameLen+1) + `", "machines": [` + machine + `], "measure_txns": 10}`},
 		{"bad level", `{"machines": [{"procs": 1, "level": "warp", "l2": "1M", "assoc": 1}], "measure_txns": 10}`},
@@ -84,9 +85,9 @@ func TestDecodeJobSpecRejects(t *testing.T) {
 	}
 }
 
-// TestDecodeJobSpecCheckpointEvery pins the tri-state quantum: absent means
-// nil (server default), explicit 0 survives as a non-nil zero (the
-// checkpoint-free RunMany path), and a positive value passes through.
+// TestDecodeJobSpecCheckpointEvery pins the quantum: absent means nil (the
+// server default), an explicit 0 fails validation, and a positive value
+// passes through.
 func TestDecodeJobSpecCheckpointEvery(t *testing.T) {
 	machine := `{"procs": 1, "level": "base", "l2": "1M", "assoc": 1}`
 	spec, _, err := DecodeJobSpec(strings.NewReader(`{"machines": [` + machine + `], "measure_txns": 10}`))
@@ -96,12 +97,10 @@ func TestDecodeJobSpecCheckpointEvery(t *testing.T) {
 	if spec.CheckpointEvery != nil {
 		t.Errorf("absent checkpoint_every decoded non-nil: %v", *spec.CheckpointEvery)
 	}
-	spec, _, err = DecodeJobSpec(strings.NewReader(`{"machines": [` + machine + `], "measure_txns": 10, "checkpoint_every": 0}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.CheckpointEvery == nil || *spec.CheckpointEvery != 0 {
-		t.Errorf("explicit checkpoint_every 0 lost its explicitness: %v", spec.CheckpointEvery)
+	_, _, err = DecodeJobSpec(strings.NewReader(`{"machines": [` + machine + `], "measure_txns": 10, "checkpoint_every": 0}`))
+	var invalid invalidSpecError
+	if !errors.As(err, &invalid) {
+		t.Errorf("checkpoint_every 0 decoded with error %v, want a validation failure", err)
 	}
 	spec, _, err = DecodeJobSpec(strings.NewReader(`{"machines": [` + machine + `], "measure_txns": 10, "checkpoint_every": 75}`))
 	if err != nil {

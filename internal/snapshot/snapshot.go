@@ -16,10 +16,10 @@
 //
 // The package is a leaf: stateful packages (cache, coherence, kernel, ...)
 // implement their own save/load methods in terms of Encoder/Decoder, and
-// core.System.SaveTo/Load orchestrates the named sections. A container that
-// carries a machine (a checkpoint) nests the machine's whole stream in one
-// of its sections with Writer.Nest, written in place into the container's
-// buffer.
+// core.System.SaveState/LoadState orchestrates the machine's named
+// sections. A checkpoint is one flat stream: the container writes its own
+// sections and then the machine's into the same Writer, under one header
+// and one CRC.
 package snapshot
 
 import (
@@ -33,9 +33,9 @@ import (
 // Magic identifies a snapshot stream.
 const Magic = "OLTPSNAP"
 
-// Version is the current format version. Load refuses any other version:
-// state layout changes must bump it.
-const Version uint32 = 3
+// Version is the current format version. A Reader refuses any other
+// version: state layout changes must bump it.
+const Version uint32 = 4
 
 // maxSectionName bounds section names; anything longer is corruption.
 const maxSectionName = 255
@@ -47,34 +47,26 @@ const maxSectionName = 255
 // opened, which makes the byte stream a deterministic function of the save
 // calls.
 type Writer struct {
-	e      *Encoder // the buffer; a nested writer shares its parent's
-	start  int      // offset of this stream's magic in the buffer
+	e      *Encoder // the buffer
 	open   int      // offset of the open section's length word, or -1
 	sealed bool     // the CRC is written and the stream is closed
-	inner  *Writer  // Nest's writer, kept for the next Nest
 }
 
 // NewWriter returns an empty snapshot writer.
 func NewWriter() *Writer {
 	w := &Writer{e: &Encoder{}}
-	w.begin(0)
+	w.Reset()
 	return w
-}
-
-// begin writes a stream header at start, the current end of the buffer.
-func (w *Writer) begin(start int) {
-	w.start, w.open, w.sealed = start, -1, false
-	copy(w.e.grow(len(Magic)), Magic)
-	w.e.U32(Version)
 }
 
 // Reset empties the writer for the next stream and keeps its buffer, so a
 // caller that writes a snapshot per checkpoint grows the buffer once. Every
-// slice Bytes returned before is overwritten. Reset is for top-level
-// writers only: a nested writer's bytes belong to its parent.
+// slice Bytes returned before is overwritten.
 func (w *Writer) Reset() {
 	w.e.buf = w.e.buf[:0]
-	w.begin(0)
+	w.open, w.sealed = -1, false
+	copy(w.e.grow(len(Magic)), Magic)
+	w.e.U32(Version)
 }
 
 // Section opens a new named section and returns the encoder for its
@@ -104,27 +96,6 @@ func (w *Writer) seal() {
 	}
 }
 
-// Nest writes a complete snapshot stream as the payload of section name,
-// in place: fill writes the inner stream's sections through a writer that
-// shares this one's buffer, and the inner stream carries its own header and
-// its own CRC over its own bytes. The payload is byte-for-byte what
-// Section(name).U8s(inner) writes for the same inner stream, so a reader
-// recovers it with Decoder.U8s.
-func (w *Writer) Nest(name string, fill func(*Writer) error) error {
-	e := w.Section(name)
-	at := len(e.buf)
-	e.U64(0) // the U8s length prefix, back-patched below
-	if w.inner == nil {
-		w.inner = &Writer{e: e}
-	}
-	w.inner.begin(len(e.buf))
-	if err := fill(w.inner); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint64(e.buf[at:], uint64(len(w.inner.Bytes())))
-	return nil
-}
-
 // Bytes seals the stream (the last section's length and the trailing CRC)
 // and returns it. The slice aliases the writer's buffer: it is valid until
 // the next Reset, and callers that keep it past that must copy it. No
@@ -132,10 +103,10 @@ func (w *Writer) Nest(name string, fill func(*Writer) error) error {
 func (w *Writer) Bytes() []byte {
 	if !w.sealed {
 		w.seal()
-		w.e.U32(crc32.ChecksumIEEE(w.e.buf[w.start:]))
+		w.e.U32(crc32.ChecksumIEEE(w.e.buf))
 		w.sealed = true
 	}
-	return w.e.buf[w.start:]
+	return w.e.buf
 }
 
 // Emit seals the stream and writes it to out.

@@ -6,7 +6,7 @@
 //
 //   - a protocol-level multiprocessor memory-system simulator
 //     (set-associative caches, MESI directory coherence with 2-hop/3-hop
-//     classification, remote access caches, victim buffers, in-order and
+//     classification, remote access caches, in-order and
 //     out-of-order processor timing models, the paper's Figure 3 latency
 //     model and a constructive derivation of it);
 //   - a functional TPC-B database engine standing in for Oracle 7.3.2
